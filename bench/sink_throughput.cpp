@@ -66,7 +66,7 @@ void BM_AnonTableBuild(benchmark::State& state) {
   pnm::Bytes report = pnm::net::Report{1, 2, 3, 4}.encode();
   for (auto _ : state) {
     pnm::sink::AnonIdTable table(keys, report, 2);
-    benchmark::DoNotOptimize(table.distinct_ids());
+    benchmark::DoNotOptimize(table.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["nodes"] = static_cast<double>(nodes);
@@ -92,10 +92,9 @@ void BM_AnonTableRebuild(benchmark::State& state) {
   pnm::Bytes report = pnm::net::Report{7, 7, 7, 7}.encode();
   for (auto _ : state) {
     pnm::sink::AnonIdTable table(keys, report, 2);
-    benchmark::DoNotOptimize(table.distinct_ids());
+    benchmark::DoNotOptimize(table.size());
   }
-  state.SetLabel(
-      pnm::crypto::sha_backend_name(pnm::crypto::sha256_multi_backend(nodes - 1)));
+  state.SetLabel(pnm::crypto::sha_backend_name(pnm::crypto::active_sha_backend()));
   if (pinned) pnm::crypto::force_sha_backend(std::nullopt);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * (nodes - 1)));

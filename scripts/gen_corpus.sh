@@ -19,9 +19,24 @@ fi
 
 mkdir -p "$corpus_dir"
 
-forwarders=8
 packets=120
 seed=42
+
+# record <name> <attack> <forwarders>: capture one campaign and its golden.
+record() {
+  local name="$1" attack="$2" forwarders="$3"
+  local trace="$corpus_dir/$name.pnmtrace"
+  echo "recording $name -> $trace"
+  "$pnm_bin" record --out "$trace" --attack "$attack" \
+    --forwarders "$forwarders" --packets "$packets" --seed "$seed" >/dev/null
+  local digest
+  digest="$("$pnm_bin" replay --in "$trace" | sed -n 's/^verdict digest: //p')"
+  if [[ -z "$digest" ]]; then
+    echo "error: replay of $trace produced no digest" >&2
+    exit 1
+  fi
+  echo "$digest" > "$corpus_dir/$name.digest"
+}
 
 attacks=(
   source-only
@@ -37,16 +52,12 @@ attacks=(
 )
 
 for attack in "${attacks[@]}"; do
-  trace="$corpus_dir/$attack.pnmtrace"
-  echo "recording $attack -> $trace"
-  "$pnm_bin" record --out "$trace" --attack "$attack" \
-    --forwarders "$forwarders" --packets "$packets" --seed "$seed" >/dev/null
-  digest="$("$pnm_bin" replay --in "$trace" | sed -n 's/^verdict digest: //p')"
-  if [[ -z "$digest" ]]; then
-    echo "error: replay of $trace produced no digest" >&2
-    exit 1
-  fi
-  echo "$digest" > "$corpus_dir/$attack.digest"
+  record "$attack" "$attack" 8
 done
+
+# Wide field: 150 forwarders span several exhaustive-verify sweep chunks, so
+# replay exercises the early exit past the first chunk; the mark-altering
+# mole's broken marks force some packets through the full sweep.
+record wide-mark-altering mark-altering 150
 
 echo "corpus written to $corpus_dir"

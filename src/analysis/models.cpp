@@ -44,9 +44,9 @@ double expected_mark_bytes(std::size_t n, double p, std::size_t id_len,
 double sink_verifiable_packets_per_second(double hashes_per_second,
                                           std::size_t network_nodes,
                                           double marks_per_packet) {
-  // Per distinct report: one anon-ID hash per node to build the table, then
-  // ~one MAC verification per mark (collisions are rare enough to ignore at
-  // first order, matching the paper's back-of-envelope).
+  // Per distinct report, worst case: one anon-ID hash per node to build the
+  // whole table, then ~one MAC verification per mark (collisions are rare
+  // enough to ignore at first order, matching the paper's back-of-envelope).
   double hashes_per_packet = static_cast<double>(network_nodes) + marks_per_packet;
   if (hashes_per_packet <= 0.0) return 0.0;
   return hashes_per_second / hashes_per_packet;

@@ -34,7 +34,10 @@ double expected_mark_bytes(std::size_t n, double p, std::size_t id_len,
 
 /// §4.2 sink-feasibility model: packets/second the sink can verify, given a
 /// measured hash rate, network size (anon-table build = one hash per node)
-/// and marks per packet (one hash per mark plus collision retries).
+/// and marks per packet (one hash per mark plus collision retries). The
+/// one-hash-per-node table is the worst case, paid when a mark is invalid:
+/// the exhaustive verifier sweeps in ascending node id and stops once every
+/// mark has resolved, so honest packets typically cost fewer hashes.
 double sink_verifiable_packets_per_second(double hashes_per_second,
                                           std::size_t network_nodes,
                                           double marks_per_packet);

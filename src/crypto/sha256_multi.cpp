@@ -56,18 +56,11 @@ Sha256Backend best_supported() {
   return Sha256Backend::kScalar;
 }
 
-/// True when PNM_FORCE_SHA_BACKEND pinned a (supported) backend at startup.
-/// Pinned runs must never be second-guessed by the occupancy heuristic.
-std::atomic<bool> g_env_pinned{false};
-
 /// Ladder rung after CPUID detection and the (startup-read) env override.
 Sha256Backend resolve_default() {
   if (const char* env = std::getenv("PNM_FORCE_SHA_BACKEND")) {
     if (auto parsed = parse_sha_backend(env)) {
-      if (supported(*parsed)) {
-        g_env_pinned.store(true, std::memory_order_relaxed);
-        return *parsed;
-      }
+      if (supported(*parsed)) return *parsed;
       std::fprintf(stderr,
                    "pnm: PNM_FORCE_SHA_BACKEND=%s not supported on this CPU; "
                    "using %s\n",
@@ -85,26 +78,6 @@ Sha256Backend resolve_default() {
 /// force_sha_backend override; -1 = none. Relaxed: a stale read during a
 /// switch only picks the other (bit-identical) kernel for a few blocks.
 std::atomic<int> g_forced{-1};
-
-/// set_sha_crossover override; -1 = none (env/default applies).
-std::atomic<long long> g_crossover{-1};
-
-/// Occupancy crossover after the (startup-read) PNM_SHA_CROSSOVER override.
-std::size_t default_crossover() {
-  static const std::size_t resolved = [] {
-    if (const char* env = std::getenv("PNM_SHA_CROSSOVER")) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0') return static_cast<std::size_t>(v);
-      std::fprintf(stderr,
-                   "pnm: unrecognized PNM_SHA_CROSSOVER=%s (want a job count); "
-                   "using %zu\n",
-                   env, kDefaultShaCrossover);
-    }
-    return kDefaultShaCrossover;
-  }();
-  return resolved;
-}
 
 // Register the engine's instruments before main so the replay metrics key
 // set is identical on every backend and workload (the golden pins it).
@@ -269,38 +242,9 @@ void force_sha_backend(std::optional<Sha256Backend> backend) {
   backend_gauge().set(static_cast<int>(active_sha_backend()));
 }
 
-std::size_t sha_crossover() {
-  long long v = g_crossover.load(std::memory_order_relaxed);
-  return v >= 0 ? static_cast<std::size_t>(v) : default_crossover();
-}
-
-void set_sha_crossover(std::optional<std::size_t> jobs) {
-  g_crossover.store(jobs ? static_cast<long long>(*jobs) : -1,
-                    std::memory_order_relaxed);
-}
-
-Sha256Backend sha256_multi_backend(std::size_t jobs) {
-  Sha256Backend b = active_sha_backend();
-  if (g_forced.load(std::memory_order_relaxed) >= 0 ||
-      g_env_pinned.load(std::memory_order_relaxed)) {
-    return b;
-  }
-  // Occupancy refinement: single-lane SHA-NI has the fastest rounds, but a
-  // full 8-lane AVX2 sweep retires 8 blocks per schedule and overtakes it
-  // once there is enough independent work to keep every lane busy. The
-  // crossover defaults to full lanes and is machine-tunable (`pnm sha-tune`
-  // / PNM_SHA_CROSSOVER); 0 keeps SHA-NI unconditionally.
-  const std::size_t cross = sha_crossover();
-  if (b == Sha256Backend::kShaNi && cross != 0 && jobs >= cross &&
-      supported(Sha256Backend::kAvx2)) {
-    return Sha256Backend::kAvx2;
-  }
-  return b;
-}
-
 void sha256_multi(std::span<const Sha256MultiJob> jobs) {
   if (jobs.empty()) return;
-  const Sha256Backend backend = sha256_multi_backend(jobs.size());
+  const Sha256Backend backend = active_sha_backend();
   backend_gauge().set(static_cast<int>(backend));
   const std::size_t lanes =
       std::max<std::size_t>(1, std::min(kMaxLanes, sha_backend_lanes(backend)));

@@ -4,10 +4,8 @@
 //
 //     SHA-NI (1 lane, hardware rounds) > AVX2 x8 > SSE2 x4 > scalar
 //
-// refined by batch occupancy: SHA-NI wins per-stream, but a batched call
-// with enough jobs to fill all 8 AVX2 lanes retires more blocks per cycle
-// through the wide kernel, so auto dispatch upgrades those sweeps to AVX2
-// (explicit pins — env or force_sha_backend() — are always honored exactly).
+// Auto dispatch is simply the best supported rung: on the anonymous-ID
+// sweeps SHA-NI beats full 8-lane AVX2 per PRF, so batched calls stay on it.
 //
 // The sink's hot loops — anonymous-ID table rebuilds (one PRF per node per
 // report, §4.2) and nested MAC verification — are embarrassingly
@@ -62,30 +60,6 @@ Sha256Backend active_sha_backend();
 
 /// Lanes a compression sweep of `backend` retires (avx2: 8, sse2: 4, else 1).
 std::size_t sha_backend_lanes(Sha256Backend backend);
-
-/// The backend a sha256_multi() call with `jobs` jobs will route through:
-/// the explicit pin (force_sha_backend / env) if any, else the auto ladder
-/// refined by occupancy — a sweep with >= sha_crossover() jobs prefers AVX2
-/// x8 over single-lane SHA-NI because the wide kernel retires more blocks
-/// per cycle once its lanes are full.
-Sha256Backend sha256_multi_backend(std::size_t jobs);
-
-/// Default SHA-NI -> AVX2 occupancy crossover (jobs per sweep): a full set
-/// of AVX2 lanes. `pnm sha-tune` measures the true per-machine crossover.
-inline constexpr std::size_t kDefaultShaCrossover = 8;
-
-/// The occupancy (jobs per batched call) at which auto dispatch upgrades
-/// single-lane SHA-NI to the 8-wide AVX2 kernel: the set_sha_crossover()
-/// override if set, else PNM_SHA_CROSSOVER (read once at startup), else
-/// kDefaultShaCrossover. 0 disables the upgrade (always SHA-NI when it is
-/// the ladder rung). Irrelevant when a backend is pinned or SHA-NI/AVX2 is
-/// unavailable. Like the backend pin, this only changes speed — every rung
-/// computes identical digests.
-std::size_t sha_crossover();
-
-/// Set (or with nullopt, reset to env/default) the occupancy crossover at
-/// runtime — what `pnm sha-tune` applies after calibration.
-void set_sha_crossover(std::optional<std::size_t> jobs);
 
 /// Pin (or with nullopt, unpin) the backend at runtime — the bench/test
 /// A/B hook behind BM_AnonTableRebuild and the backend-equivalence property

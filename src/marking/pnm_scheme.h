@@ -6,13 +6,14 @@
 //
 // The anonymous ID removes the information a selective-dropping mole needs
 // (it cannot tell which upstream nodes marked a packet), while the nested MAC
-// keeps the consecutive-traceability property. Sink-side verification first
-// resolves each i' to candidate real nodes via the per-report AnonIdTable,
-// then runs the nested backward MAC pass, disambiguating anon-ID collisions
-// by which candidate's key actually verifies.
+// keeps the consecutive-traceability property. Sink-side verification runs
+// the nested backward MAC pass, resolving each i' to candidate real nodes
+// via the per-report AnonIdTable and disambiguating anon-ID collisions by
+// which candidate's key actually verifies.
 #pragma once
 
 #include "marking/scheme.h"
+#include "util/counters.h"
 
 namespace pnm::marking {
 
@@ -27,6 +28,20 @@ class PnmScheme final : public MarkingScheme {
   net::Mark make_mark(const net::Packet& p, NodeId claimed, ByteView key,
                       Rng& rng) const override;
   VerifyResult verify(const net::Packet& p, const crypto::KeyStore& keys) const override;
+
+  /// verify() metering into `metrics` instead of util::Counters::global().
+  ///
+  /// The anon-ID table is swept in ascending node id, in fixed chunks sized
+  /// to the active SHA rung's lanes, and only as far as the backward pass
+  /// needs: each mark, last to first, MAC-checks its
+  /// candidates in ascending id and extends the sweep only while it is
+  /// unresolved. Verdicts are those of a full sorted table — the node a mark
+  /// resolves to is the lowest-id candidate whose MAC verifies, and an
+  /// ascending sweep meets that node first. kMacChecks counts candidates
+  /// walked up to the resolving one; kPrfEvals counts PRFs computed, at most
+  /// one per non-sink node and exactly that whenever a mark is invalid.
+  VerifyResult verify(const net::Packet& p, const crypto::KeyStore& keys,
+                      util::Counters& metrics) const;
 };
 
 }  // namespace pnm::marking

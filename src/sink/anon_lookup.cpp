@@ -8,9 +8,9 @@ namespace pnm::sink {
 
 namespace {
 
-/// Pack a short anon ID into a comparison key. Only equality matters (the
-/// table groups equal IDs), so byte order is irrelevant as long as it is
-/// total and length-fixed; unused high bytes stay zero.
+/// Pack a short anon ID into a comparison key. Only equality matters, so
+/// byte order is irrelevant as long as it is length-fixed; unused high bytes
+/// stay zero.
 std::uint64_t pack_key(const std::uint8_t* p, std::size_t len) {
   std::uint64_t k = 0;
   std::memcpy(&k, p, len);
@@ -19,7 +19,7 @@ std::uint64_t pack_key(const std::uint8_t* p, std::size_t len) {
 
 /// Candidate sweep through the multi-buffer PRF engine: all ids' anonymous
 /// IDs for `report` land packed in the returned arena (stride anon_len).
-/// Thread-local so per-packet table rebuilds never touch the heap once warm.
+/// Thread-local so per-packet sweeps never touch the heap once warm.
 ByteView batched_anon_ids(const crypto::KeyStore& keys, ByteView report,
                           std::span<const NodeId> ids, std::size_t anon_len) {
   thread_local Bytes arena;
@@ -33,94 +33,67 @@ ByteView batched_anon_ids(const crypto::KeyStore& keys, ByteView report,
 AnonIdTable::AnonIdTable(const crypto::KeyStore& keys, ByteView report,
                          std::size_t anon_len)
     : anon_len_(anon_len) {
-  // Node 0 is the sink itself and never marks; start from 1. Every node's
-  // PRF is evaluated unconditionally, so the whole table is one multi-lane
-  // sweep; within a bucket ids stay ascending (sort ties break on id),
-  // matching the serial insertion order exactly.
-  if (keys.size() <= 1 || anon_len == 0) return;
-  thread_local std::vector<NodeId> ids;
-  ids.clear();
-  for (std::size_t i = 1; i < keys.size(); ++i) ids.push_back(static_cast<NodeId>(i));
-  ByteView anons = batched_anon_ids(keys, report, ids, anon_len);
-  build(ids, anons);
+  // Node 0 is the sink itself and never marks; extend() starts from 1.
+  extend(keys, report, keys.size());
 }
 
-AnonIdTable AnonIdTable::from_precomputed(std::span<const NodeId> ids, ByteView anons,
-                                          std::size_t anon_len) {
-  AnonIdTable t;
-  t.anon_len_ = anon_len;
-  if (ids.empty() || anon_len == 0) return t;
-  t.build(ids, anons);
+AnonIdTable AnonIdTable::from_precomputed(ByteView anons, std::size_t anon_len) {
+  AnonIdTable t(anon_len);
+  if (anon_len != 0) t.append(anons.data(), anons.size() / anon_len);
   return t;
 }
 
-void AnonIdTable::build(std::span<const NodeId> ids, ByteView anons) {
-  const std::size_t anon_len = anon_len_;
-  ids_.resize(ids.size());
-  if (anon_len <= sizeof(std::uint64_t)) {
-    thread_local std::vector<std::pair<std::uint64_t, NodeId>> entries;
-    entries.resize(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      entries[i] = {pack_key(anons.data() + i * anon_len, anon_len), ids[i]};
-    }
-    std::sort(entries.begin(), entries.end());
-    keys_.resize(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      keys_[i] = entries[i].first;
-      ids_[i] = entries[i].second;
-      distinct_ += (i == 0 || keys_[i] != keys_[i - 1]) ? 1 : 0;
+void AnonIdTable::clear(std::size_t anon_len) {
+  anon_len_ = anon_len;
+  rows_ = 0;
+  keys_.clear();
+  wide_.clear();
+}
+
+std::size_t AnonIdTable::extend(const crypto::KeyStore& keys, ByteView report,
+                                std::size_t count) {
+  const std::size_t nodes = keys.size() > 1 ? keys.size() - 1 : 0;
+  count = std::min(count, nodes - std::min(nodes, rows_));
+  if (count == 0 || anon_len_ == 0) return 0;
+  thread_local std::vector<NodeId> ids;
+  ids.resize(count);
+  for (std::size_t i = 0; i < count; ++i) ids[i] = static_cast<NodeId>(rows_ + 1 + i);
+  append(batched_anon_ids(keys, report, ids, anon_len_).data(), count);
+  return count;
+}
+
+void AnonIdTable::append(const std::uint8_t* anons, std::size_t count) {
+  if (anon_len_ <= sizeof(std::uint64_t)) {
+    keys_.reserve(rows_ + count);
+    for (std::size_t i = 0; i < count; ++i)
+      keys_.push_back(pack_key(anons + i * anon_len_, anon_len_));
+  } else {
+    wide_.insert(wide_.end(), anons, anons + count * anon_len_);
+  }
+  rows_ += count;
+}
+
+void AnonIdTable::collect(ByteView anon, std::size_t from,
+                          std::vector<NodeId>& out) const {
+  if (anon.size() != anon_len_) return;
+  // Row r holds node r + 1, so a forward scan yields ascending ids.
+  if (anon_len_ <= sizeof(std::uint64_t)) {
+    const std::uint64_t k = pack_key(anon.data(), anon_len_);
+    for (std::size_t r = from; r < rows_; ++r) {
+      if (keys_[r] == k) out.push_back(static_cast<NodeId>(r + 1));
     }
     return;
   }
-
-  thread_local std::vector<std::uint32_t> order;  // index into the unsorted arena
-  order.resize(ids.size());
-  for (std::size_t i = 0; i < order.size(); ++i)
-    order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    int c = std::memcmp(anons.data() + std::size_t{a} * anon_len,
-                        anons.data() + std::size_t{b} * anon_len, anon_len);
-    return c != 0 ? c < 0 : ids[a] < ids[b];
-  });
-  wide_.resize(ids.size() * anon_len);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    std::memcpy(wide_.data() + i * anon_len,
-                anons.data() + std::size_t{order[i]} * anon_len, anon_len);
-    ids_[i] = ids[order[i]];
-    distinct_ += (i == 0 || std::memcmp(wide_.data() + i * anon_len,
-                                        wide_.data() + (i - 1) * anon_len,
-                                        anon_len) != 0)
-                     ? 1
-                     : 0;
+  for (std::size_t r = from; r < rows_; ++r) {
+    if (std::memcmp(wide_.data() + r * anon_len_, anon.data(), anon_len_) == 0)
+      out.push_back(static_cast<NodeId>(r + 1));
   }
 }
 
-std::span<const NodeId> AnonIdTable::candidates(ByteView anon) const {
-  if (anon.size() != anon_len_ || ids_.empty()) return {};
-  if (anon_len_ <= sizeof(std::uint64_t)) {
-    std::uint64_t k = pack_key(anon.data(), anon_len_);
-    auto [lo, hi] = std::equal_range(keys_.begin(), keys_.end(), k);
-    return {ids_.data() + (lo - keys_.begin()), static_cast<std::size_t>(hi - lo)};
-  }
-  // Wide IDs: binary search over the sorted stride-anon_len_ arena.
-  auto cmp_lt = [&](std::size_t row) {
-    return std::memcmp(wide_.data() + row * anon_len_, anon.data(), anon_len_) < 0;
-  };
-  auto cmp_eq = [&](std::size_t row) {
-    return std::memcmp(wide_.data() + row * anon_len_, anon.data(), anon_len_) == 0;
-  };
-  std::size_t lo = 0, hi = ids_.size();
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (cmp_lt(mid)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  std::size_t end = lo;
-  while (end < ids_.size() && cmp_eq(end)) ++end;
-  return {ids_.data() + lo, end - lo};
+std::vector<NodeId> AnonIdTable::candidates(ByteView anon) const {
+  std::vector<NodeId> out;
+  collect(anon, 0, out);
+  return out;
 }
 
 std::vector<NodeId> scoped_candidates(const crypto::KeyStore& keys,

@@ -99,20 +99,18 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
   if (table_reports.empty()) return;
 
   // 2a. Global PRF sweep: every distinct table's node sweep (ids 1..N-1, the
-  // sink never marks) through ONE anon_id_batch_multi call, then sort each
-  // slice into a table. kPrfEvals meters PRFs actually computed — one sweep
-  // per *distinct* report, which is the point of the dedup.
+  // sink never marks) through ONE anon_id_batch_multi call, then each slice
+  // becomes a table as is. kPrfEvals meters PRFs actually computed — one full
+  // sweep per *distinct* report, which is the point of the dedup.
   const std::size_t node_cnt = keys.size() > 1 ? keys.size() - 1 : 0;
   std::vector<NodeId> all_ids;
   all_ids.reserve(node_cnt);
   for (std::size_t i = 1; i <= node_cnt; ++i) all_ids.push_back(static_cast<NodeId>(i));
 
-  std::vector<AnonIdTable> tables;
-  tables.reserve(table_reports.size());
-  Bytes prf_arena;
+  std::vector<AnonIdTable> tables(table_reports.size(), AnonIdTable(cfg.anon_len));
   if (node_cnt > 0 && cfg.anon_len > 0) {
     const std::size_t stride = node_cnt * cfg.anon_len;
-    prf_arena.resize(table_reports.size() * stride);
+    Bytes prf_arena(table_reports.size() * stride);
     std::vector<crypto::AnonIdSweepJob> sweep(table_reports.size());
     for (std::size_t t = 0; t < table_reports.size(); ++t) {
       sweep[t] = {table_reports[t], all_ids, prf_arena.data() + t * stride};
@@ -120,16 +118,12 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
     crypto::anon_id_batch_multi(keys, sweep, cfg.anon_len);
     metrics.add(util::Metric::kPrfEvals, table_reports.size() * node_cnt);
     for (std::size_t t = 0; t < table_reports.size(); ++t) {
-      tables.push_back(AnonIdTable::from_precomputed(
-          all_ids, ByteView(prf_arena.data() + t * stride, stride), cfg.anon_len));
-    }
-  } else {
-    // Degenerate network (sink only) or zero-width IDs: empty tables, same
-    // as the hashing constructor's early-out.
-    for (std::size_t t = 0; t < table_reports.size(); ++t) {
-      tables.push_back(AnonIdTable::from_precomputed({}, {}, cfg.anon_len));
+      tables[t] = AnonIdTable::from_precomputed(
+          ByteView(prf_arena.data() + t * stride, stride), cfg.anon_len);
     }
   }
+  // Otherwise (sink-only network or zero-width IDs) every table stays empty,
+  // same as the hashing constructor.
 
   // 2b. Global MAC sweep: candidate-set MACs for every mark of every packet
   // in one hmac_batch. Safe to hoist because the nested-MAC input
@@ -138,11 +132,13 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
   // point are speculative and unmetered, exactly like the per-packet
   // batched disambiguation.
   struct MarkPlan {
-    std::span<const NodeId> cands;
-    std::size_t lane = 0;  ///< first MAC lane for this mark's candidates
+    std::size_t cand = 0;   ///< first of this mark's candidates in `cands`
+    std::size_t count = 0;  ///< candidates, ascending id
+    std::size_t lane = 0;   ///< first MAC lane for this mark's candidates
   };
   std::vector<std::size_t> mark_off(n + 1, 0);
   std::vector<MarkPlan> plans;
+  std::vector<NodeId> cands;
   std::vector<Bytes> inputs;  // stable heap buffers; jobs hold views into them
   std::vector<crypto::HmacBatchJob> jobs;
   for (std::size_t i = 0; i < n; ++i) {
@@ -153,14 +149,14 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
     for (std::size_t j = 0; j < p.marks.size(); ++j) {
       const net::Mark& m = p.marks[j];
       MarkPlan mp;
-      if (m.id_field.size() == cfg.anon_len) {
-        mp.cands = table.candidates(m.id_field);
-        if (!mp.cands.empty()) {
-          inputs.push_back(marking::nested_mac_input(p, j, m.id_field));
-          mp.lane = jobs.size();
-          for (NodeId cand : mp.cands) {
-            jobs.push_back({&keys.hmac_key(cand), ByteView(inputs.back())});
-          }
+      mp.cand = cands.size();
+      table.collect(m.id_field, 0, cands);
+      mp.count = cands.size() - mp.cand;
+      if (mp.count > 0) {
+        inputs.push_back(marking::nested_mac_input(p, j, m.id_field));
+        mp.lane = jobs.size();
+        for (std::size_t c = mp.cand; c < cands.size(); ++c) {
+          jobs.push_back({&keys.hmac_key(cands[c]), ByteView(inputs.back())});
         }
       }
       plans.push_back(mp);
@@ -170,7 +166,7 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
   std::vector<crypto::Sha256Digest> macs(jobs.size());
   if (!jobs.empty()) crypto::hmac_batch(jobs, macs.data());
 
-  // 3. Scatter: the per-packet backward walk, candidates in table order,
+  // 3. Scatter: the per-packet backward walk, candidates in ascending id,
   // kMacChecks metered per candidate walked up to the resolving one.
   for (std::size_t i = 0; i < n; ++i) {
     if (packet_table[i] == kNoTable) continue;
@@ -180,12 +176,12 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
       const net::Mark& m = p.marks[j];
       const MarkPlan& mp = plans[mark_off[i] + j];
       NodeId resolved = kInvalidNode;
-      for (std::size_t c = 0; c < mp.cands.size(); ++c) {
+      for (std::size_t c = 0; c < mp.count; ++c) {
         metrics.add(util::Metric::kMacChecks);
         if (m.mac.size() >= 1 && m.mac.size() <= crypto::kSha256DigestSize &&
             constant_time_equal(ByteView(macs[mp.lane + c].data(), m.mac.size()),
                                 m.mac)) {
-          resolved = mp.cands[c];
+          resolved = cands[mp.cand + c];
           break;
         }
       }

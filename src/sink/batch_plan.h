@@ -74,10 +74,12 @@ void force_pack_mode(std::optional<PackMode> mode);
 /// PnmScheme::verify semantics (§4.2 backward pass over a per-report
 /// AnonIdTable). One shared table per *distinct* report, all tables built
 /// from one global PRF sweep, all candidate MACs from one global MAC sweep.
-/// `metrics` receives the per-packet path's logical accounting
-/// (kPacketsVerified per packet, kPrfEvals per table PRF actually computed,
-/// kMacChecks per candidate walked); `reports_deduped` (optional) counts
-/// packets that shared an earlier packet's table.
+/// Unlike the per-packet path the sweep has no early exit: every distinct
+/// report pays one PRF per non-sink node. `metrics` receives the logical
+/// accounting (kPacketsVerified per packet, kPrfEvals per table PRF actually
+/// computed, kMacChecks per candidate walked, which matches the per-packet
+/// path); `reports_deduped` (optional) counts packets that shared an earlier
+/// packet's table.
 void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
                             const crypto::KeyStore& keys,
                             std::span<const net::Packet> packets,

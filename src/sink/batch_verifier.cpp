@@ -54,7 +54,7 @@ BatchVerifier::BatchVerifier(const marking::MarkingScheme& scheme,
                                                  : "verify_packet_us_exhaustive")),
       cache_hit_ratio_ppm_(&counters_->registry().gauge("prf_cache_hit_ratio_ppm")),
       reports_deduped_(&counters_->registry().counter("sink_reports_deduped")),
-      plannable_(dynamic_cast<const marking::PnmScheme*>(&scheme) != nullptr),
+      pnm_(dynamic_cast<const marking::PnmScheme*>(&scheme)),
       threads_(resolve_threads(cfg.threads)) {
   if (cfg_.strategy == BatchStrategy::kScoped && topo_ == nullptr) {
     throw std::invalid_argument("BatchVerifier: scoped strategy needs a topology");
@@ -68,6 +68,7 @@ marking::VerifyResult BatchVerifier::verify_one(const net::Packet& p) {
     return scoped_verify_pnm(p, keys, *topo_, scheme_.config(), nullptr,
                              cfg_.use_cache ? &cache_ : nullptr, counters_);
   }
+  if (pnm_ != nullptr) return pnm_->verify(p, keys, *counters_);
   return scheme_.verify(p, keys);
 }
 
@@ -110,10 +111,8 @@ std::vector<marking::VerifyResult> BatchVerifier::verify_batch(
                          cfg_.use_cache ? &cache_ : nullptr, *counters_,
                          reports_deduped_);
     } else {
-      // The per-packet exhaustive path (PnmScheme::verify) meters into the
-      // global counters regardless of `counters_`; keep that parity.
       plan_verify_exhaustive(scheme_.config(), keys, span, results.data() + begin,
-                             util::Counters::global(), reports_deduped_);
+                             *counters_, reports_deduped_);
     }
     if constexpr (obs::kMetricsEnabled) {
       auto c1 = std::chrono::steady_clock::now();
@@ -125,7 +124,7 @@ std::vector<marking::VerifyResult> BatchVerifier::verify_batch(
   };
 
   const PackMode mode = cfg_.pack_mode ? *cfg_.pack_mode : active_pack_mode();
-  bool cross = mode == PackMode::kCross && plannable_ && !packets.empty();
+  bool cross = mode == PackMode::kCross && pnm_ != nullptr && !packets.empty();
   if (cross && !any_shared_report(packets))
     cross = false;  // all-distinct: planner overhead with no sharing win
 

@@ -22,6 +22,7 @@
 
 #include "crypto/keys.h"
 #include "crypto/prf_cache.h"
+#include "marking/pnm_scheme.h"
 #include "marking/scheme.h"
 #include "net/topology.h"
 #include "sink/batch_plan.h"
@@ -66,7 +67,8 @@ struct BatchVerifierConfig {
 class BatchVerifier {
  public:
   /// `topo` is required for BatchStrategy::kScoped and ignored otherwise.
-  /// `counters` defaults to util::Counters::global() when null.
+  /// `counters` defaults to util::Counters::global() when null; every PNM
+  /// verify, in either strategy and pack mode, meters into it.
   BatchVerifier(const marking::MarkingScheme& scheme, const crypto::KeyStore& keys,
                 BatchVerifierConfig cfg = {}, const net::Topology* topo = nullptr,
                 util::Counters* counters = nullptr);
@@ -102,7 +104,9 @@ class BatchVerifier {
   obs::Histogram* packet_us_;        ///< per-packet verify latency, per strategy
   obs::Gauge* cache_hit_ratio_ppm_;  ///< hits/(hits+misses) in parts-per-million
   obs::Counter* reports_deduped_;    ///< packets that shared another's table
-  bool plannable_;                   ///< scheme is PNM (planner semantics apply)
+  /// The scheme as PNM, else null: PNM verifies meter into `counters_` and
+  /// may take the cross-packet planner.
+  const marking::PnmScheme* pnm_;
   crypto::PrfCache cache_;
   std::size_t threads_;
   std::unique_ptr<util::ThreadPool> pool_;  // created lazily, only if threads_ > 1

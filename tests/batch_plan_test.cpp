@@ -4,7 +4,7 @@
 // and ragged batch shapes — on honest traffic, duplicate-heavy flow traffic,
 // and corrupted marks that exercise the truncation paths. Also unit-covers
 // the planner's building blocks (anon_id_batch_multi, AnonIdTable::
-// from_precomputed, PackMode parsing/pinning, the SHA crossover knob).
+// from_precomputed, PackMode parsing/pinning).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -21,6 +21,7 @@
 #include "sink/anon_lookup.h"
 #include "sink/batch_plan.h"
 #include "sink/batch_verifier.h"
+#include "util/counters.h"
 #include "util/rng.h"
 
 namespace pnm::sink {
@@ -154,18 +155,6 @@ TEST(PackModeTest, ForceOverridesDefault) {
   EXPECT_EQ(active_pack_mode(), PackMode::kCross);
 }
 
-TEST(ShaCrossoverTest, SetAndReset) {
-  // The sha-tune satellite's honor path: set_sha_crossover overrides the
-  // PNM_SHA_CROSSOVER / default ladder; nullopt restores it.
-  const std::size_t before = crypto::sha_crossover();
-  crypto::set_sha_crossover(3);
-  EXPECT_EQ(crypto::sha_crossover(), 3u);
-  crypto::set_sha_crossover(0);  // 0 = never upgrade SHA-NI to AVX2
-  EXPECT_EQ(crypto::sha_crossover(), 0u);
-  crypto::set_sha_crossover(std::nullopt);
-  EXPECT_EQ(crypto::sha_crossover(), before);
-}
-
 TEST_F(BatchPlanFixture, AnonIdBatchMultiMatchesSerial) {
   std::vector<Bytes> reports;
   for (std::uint32_t r = 0; r < 5; ++r)
@@ -217,9 +206,9 @@ TEST_F(BatchPlanFixture, FromPrecomputedMatchesHashingCtor) {
     for (NodeId v = 1; v < keys_.size(); ++v) ids.push_back(v);
     Bytes anons(ids.size() * anon_len);
     crypto::anon_id_batch(keys_, report, ids, anon_len, anons.data());
-    AnonIdTable pre = AnonIdTable::from_precomputed(ids, anons, anon_len);
+    AnonIdTable pre = AnonIdTable::from_precomputed(anons, anon_len);
 
-    EXPECT_EQ(pre.distinct_ids(), built.distinct_ids()) << "anon_len=" << anon_len;
+    EXPECT_EQ(pre.size(), built.size()) << "anon_len=" << anon_len;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       ByteView anon(anons.data() + i * anon_len, anon_len);
       auto a = built.candidates(anon);
@@ -231,10 +220,10 @@ TEST_F(BatchPlanFixture, FromPrecomputedMatchesHashingCtor) {
     EXPECT_EQ(built.candidates(missing).size(), pre.candidates(missing).size());
   }
   // Degenerate inputs build empty tables rather than crashing.
-  AnonIdTable empty = AnonIdTable::from_precomputed({}, {}, 2);
+  AnonIdTable empty = AnonIdTable::from_precomputed({}, 2);
   Bytes probe{0x00, 0x00};
   EXPECT_TRUE(empty.candidates(probe).empty());
-  EXPECT_EQ(empty.distinct_ids(), 0u);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 TEST_F(BatchPlanFixture, ExhaustiveCrossMatchesSerialReference) {
@@ -250,6 +239,33 @@ TEST_F(BatchPlanFixture, ExhaustiveCrossMatchesSerialReference) {
           << "threads=" << threads << " packet=" << i;
     }
   }
+}
+
+TEST_F(BatchPlanFixture, ExhaustiveMetersIntoVerifierCounters) {
+  // Both pack modes meter into the verifier's own Counters, never the global
+  // instance, and agree on MAC checks (the planner sweeps every PRF, the
+  // per-packet path may stop early, so only their PRF counts may differ).
+  auto batch = make_traffic(48, 109, /*flows=*/8, /*corrupt=*/5);
+  util::Counters& global = util::Counters::global();
+  const std::uint64_t prf0 = global.get(util::Metric::kPrfEvals);
+  const std::uint64_t mac0 = global.get(util::Metric::kMacChecks);
+  std::uint64_t mac_checks[2] = {0, 0};
+  for (PackMode mode : {PackMode::kPacket, PackMode::kCross}) {
+    util::Counters counters;
+    BatchVerifierConfig bcfg;
+    bcfg.threads = 1;
+    bcfg.pack_mode = mode;
+    BatchVerifier engine(*scheme_, keys_, bcfg, nullptr, &counters);
+    engine.verify_batch(batch);
+    EXPECT_GT(counters.get(util::Metric::kPrfEvals), 0u) << pack_mode_name(mode);
+    EXPECT_EQ(counters.get(util::Metric::kPacketsVerified), batch.size())
+        << pack_mode_name(mode);
+    mac_checks[static_cast<int>(mode)] = counters.get(util::Metric::kMacChecks);
+  }
+  EXPECT_GT(mac_checks[0], 0u);
+  EXPECT_EQ(mac_checks[0], mac_checks[1]);
+  EXPECT_EQ(global.get(util::Metric::kPrfEvals), prf0);
+  EXPECT_EQ(global.get(util::Metric::kMacChecks), mac0);
 }
 
 TEST_F(BatchPlanFixture, ScopedCrossMatchesPacketMode) {

@@ -511,6 +511,33 @@ TEST(Pipeline, CountersMeterRecordsAndQueueDepth) {
   EXPECT_GE(counters.get(util::Metric::kIngestQueueHighWater), 1u);
 }
 
+TEST(Pipeline, ExhaustiveVerifyMetersIntoCallerCounters) {
+  // An exhaustive replay given its own Counters must meter the verifier's
+  // PRFs, MAC checks and verified packets there, and leave the process-wide
+  // instance untouched.
+  const auto& rc = recorded_campaign();
+  util::Counters& global = util::Counters::global();
+  const std::uint64_t prf0 = global.get(util::Metric::kPrfEvals);
+  const std::uint64_t mac0 = global.get(util::Metric::kMacChecks);
+  const std::uint64_t verified0 = global.get(util::Metric::kPacketsVerified);
+
+  util::Counters counters;
+  trace::TraceReader reader(rc.path);
+  ASSERT_TRUE(reader.valid());
+  ingest::ReplayOptions opts;
+  opts.counters = &counters;
+  ingest::ReplayResult r = ingest::replay_trace(reader, opts);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_GT(r.marks_verified, 0u);
+  EXPECT_GT(counters.get(util::Metric::kPrfEvals), 0u);
+  EXPECT_GE(counters.get(util::Metric::kMacChecks), r.marks_verified);
+  EXPECT_EQ(counters.get(util::Metric::kPacketsVerified), r.stats.records);
+
+  EXPECT_EQ(global.get(util::Metric::kPrfEvals), prf0);
+  EXPECT_EQ(global.get(util::Metric::kMacChecks), mac0);
+  EXPECT_EQ(global.get(util::Metric::kPacketsVerified), verified0);
+}
+
 // ---------------------------------------------------------------------------
 // Daemon seams: stream-tagged pushes, quiescence, shard-gauge lifecycle.
 // These are the Pipeline hooks `pnm serve` builds on; tests/serve_test.cpp

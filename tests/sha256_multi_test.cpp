@@ -214,7 +214,7 @@ TEST(Sha256MultiTest, AnonIdTableIdenticalAcrossBackends) {
     for (std::size_t i = 1; i < keys.size(); ++i) {
       NodeId id = static_cast<NodeId>(i);
       Bytes anon = anon_id(keys.hmac_key(id), report, id, kDefaultAnonIdSize);
-      std::span<const NodeId> cands = table.candidates(anon);
+      std::vector<NodeId> cands = table.candidates(anon);
       EXPECT_NE(std::find(cands.begin(), cands.end(), id), cands.end())
           << "node " << i << " missing from its own candidate set";
     }

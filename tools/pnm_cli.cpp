@@ -69,14 +69,6 @@
 //       Fetch a running daemon's flight-recorder dump (GET /flight) and
 //       print it (or write it to --out as a .pnmflight file).
 //
-//   pnm sha-tune   [--max-occupancy K] [--msg-bytes B] [--reps R]
-//       Micro-calibrate the SHA-NI vs AVX2 occupancy crossover on this
-//       machine: times both kernels at batch occupancies 1..K and prints the
-//       smallest occupancy where the 8-wide AVX2 kernel overtakes
-//       single-lane SHA-NI, as an `export PNM_SHA_CROSSOVER=N` line the
-//       dispatch ladder honors. Digests are identical either way — this
-//       tunes speed only.
-//
 //   pnm list
 //       Available schemes and attacks.
 //
@@ -757,73 +749,6 @@ int cmd_flight_dump(const Args& args) {
   return 0;
 }
 
-int cmd_sha_tune(const Args& args) {
-  using pnm::crypto::Sha256Backend;
-  if (!pnm::crypto::sha_backend_supported(Sha256Backend::kShaNi) ||
-      !pnm::crypto::sha_backend_supported(Sha256Backend::kAvx2)) {
-    std::printf("sha-tune: crossover tuning needs both SHA-NI and AVX2; this CPU "
-                "dispatches to %s — nothing to tune\n",
-                pnm::crypto::sha_backend_name(pnm::crypto::active_sha_backend()));
-    return 0;
-  }
-  const std::size_t max_jobs = std::max<std::size_t>(2, args.num("max-occupancy", 16));
-  // Default message length matches the hot sweeps: anon-ID PRF templates and
-  // short MAC inputs are one padded block through an HMAC midstate.
-  const std::size_t msg_len = args.num("msg-bytes", 32);
-  const std::size_t reps = std::max<std::size_t>(1, args.num("reps", 4000));
-
-  std::vector<pnm::Bytes> msgs(max_jobs, pnm::Bytes(msg_len));
-  for (std::size_t i = 0; i < max_jobs; ++i)
-    for (std::size_t b = 0; b < msg_len; ++b)
-      msgs[i][b] = static_cast<std::uint8_t>(i * 131 + b * 7 + 1);
-  std::vector<pnm::crypto::Sha256Digest> outs(max_jobs);
-  std::vector<pnm::crypto::Sha256MultiJob> jobs(max_jobs);
-  for (std::size_t i = 0; i < max_jobs; ++i)
-    jobs[i] = {nullptr, 0, msgs[i].data(), msg_len, outs[i].data()};
-
-  auto ns_per_job = [&](Sha256Backend backend, std::size_t k) {
-    pnm::crypto::force_sha_backend(backend);
-    std::span<const pnm::crypto::Sha256MultiJob> sweep(jobs.data(), k);
-    double best = 1e30;
-    for (int trial = 0; trial < 3; ++trial) {
-      auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t r = 0; r < reps; ++r) pnm::crypto::sha256_multi(sweep);
-      auto t1 = std::chrono::steady_clock::now();
-      double ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                  static_cast<double>(reps * k);
-      if (ns < best) best = ns;
-    }
-    return best;
-  };
-
-  Table t({"jobs/sweep", "shani ns/hash", "avx2 ns/hash", "winner"});
-  t.set_title("SHA-NI vs AVX2 crossover (" + Table::num(msg_len) + "-byte messages)");
-  std::size_t crossover = 0;
-  for (std::size_t k = 1; k <= max_jobs; ++k) {
-    double shani = ns_per_job(Sha256Backend::kShaNi, k);
-    double avx2 = ns_per_job(Sha256Backend::kAvx2, k);
-    bool avx2_wins = avx2 <= shani;
-    if (crossover == 0 && avx2_wins) crossover = k;
-    t.add_row({Table::num(k), Table::num(shani, 1), Table::num(avx2, 1),
-               avx2_wins ? "avx2" : "shani"});
-  }
-  pnm::crypto::force_sha_backend(std::nullopt);
-  std::fputs(t.render().c_str(), stdout);
-
-  if (crossover != 0) {
-    pnm::crypto::set_sha_crossover(crossover);
-    std::printf("crossover: AVX2 x8 overtakes SHA-NI at %zu jobs/sweep "
-                "(built-in default: %zu)\n",
-                crossover, pnm::crypto::kDefaultShaCrossover);
-    std::printf("apply: export PNM_SHA_CROSSOVER=%zu\n", crossover);
-  } else {
-    std::printf("crossover: AVX2 never overtook SHA-NI up to %zu jobs/sweep\n",
-                max_jobs);
-    std::printf("apply: export PNM_SHA_CROSSOVER=0   # always stay on SHA-NI\n");
-  }
-  return 0;
-}
-
 int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "list") return cmd_list();
   if (cmd == "experiment") return cmd_experiment(args);
@@ -838,7 +763,6 @@ int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "serve") return cmd_serve(args);
   if (cmd == "loadgen") return cmd_loadgen(args);
   if (cmd == "flight-dump") return cmd_flight_dump(args);
-  if (cmd == "sha-tune") return cmd_sha_tune(args);
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 2;
 }
@@ -860,7 +784,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <experiment|campaign|matrix|sweep|model|verify|record|"
-                 "replay|trace-stat|serve|loadgen|flight-dump|sha-tune|list> "
+                 "replay|trace-stat|serve|loadgen|flight-dump|list> "
                  "[--flag value ...]\n"
                  "       [--metrics-out FILE] [--metrics-format json|prom]\n"
                  "       [--sha-backend scalar|sse2|avx2|shani]\n"

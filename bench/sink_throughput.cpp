@@ -4,8 +4,13 @@
 // network costs milliseconds and verification throughput far exceeds the
 // ~50 pkt/s sensor radio ceiling. Measured here:
 //
-//   BM_HmacSha256        — raw keyed-hash rate (the paper's 2.5 M/s figure
-//                          was an Athlon 1.6 GHz);
+//   BM_HmacSha256        — one-off HMAC from a raw key: rebuilds the
+//                          ipad/opad schedule on every call (4 compressions
+//                          for a short message), so it is NOT the sink's rate;
+//   BM_HmacSha256Keyed   — HMAC through a prebuilt HmacKey, as the sink MACs
+//                          and PRFs through KeyStore::hmac_key (2 compressions
+//                          for a short message): the rate to compare with the
+//                          paper's 2.5 M/s figure (an Athlon 1.6 GHz);
 //   BM_AnonTableBuild    — per-report table construction vs network size;
 //   BM_VerifyPacketPnm   — full packet verification (table + backward pass);
 //   BM_ScopedLookup      — the §7 O(d) topology-scoped alternative;
@@ -59,6 +64,16 @@ void BM_HmacSha256(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HmacSha256)->Arg(32)->Arg(128);
+
+void BM_HmacSha256Keyed(benchmark::State& state) {
+  const pnm::crypto::HmacKey key(pnm::Bytes(16, 0x5a));
+  pnm::Bytes msg(static_cast<std::size_t>(state.range(0)), 0x77);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.mac(msg));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HmacSha256Keyed)->Arg(32)->Arg(128);
 
 void BM_AnonTableBuild(benchmark::State& state) {
   std::size_t nodes = static_cast<std::size_t>(state.range(0));

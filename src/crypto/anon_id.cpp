@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "crypto/hmac.h"
+#include "crypto/sha256_multi.h"
 
 namespace pnm::crypto {
 
@@ -34,55 +35,29 @@ Bytes anon_id(const HmacKey& node_key, ByteView original_message, NodeId real_id
 
 void anon_id_batch(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,
                    std::size_t anon_len, std::uint8_t* out) {
-  assert(anon_len >= 1 && anon_len <= kSha256DigestSize);
-  const std::size_t n = ids.size();
-  if (n == 0) return;
-
-  // One input slot per lane: [0xA1][len16 LE][report][id16 LE]. Slot 0 is
-  // built once and replicated; only the trailing id bytes get patched.
-  const std::size_t stride = 1 + 2 + report.size() + 2;
-  thread_local Bytes arena;
-  thread_local std::vector<HmacBatchJob> jobs;
-  thread_local std::vector<Sha256Digest> full;
-  arena.resize(n * stride);
-  jobs.resize(n);
-  full.resize(n);
-
-  std::uint8_t* slot0 = arena.data();
-  slot0[0] = 0xA1;  // domain separation: anonymous-ID PRF, never a marking MAC
-  slot0[1] = static_cast<std::uint8_t>(report.size());
-  slot0[2] = static_cast<std::uint8_t>(report.size() >> 8);
-  if (!report.empty()) std::memcpy(slot0 + 3, report.data(), report.size());
-  for (std::size_t i = 1; i < n; ++i)
-    std::memcpy(arena.data() + i * stride, slot0, stride - 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint8_t* slot = arena.data() + i * stride;
-    slot[stride - 2] = static_cast<std::uint8_t>(ids[i]);
-    slot[stride - 1] = static_cast<std::uint8_t>(ids[i] >> 8);
-    jobs[i] = {&keys.hmac_key(ids[i]), ByteView(slot, stride)};
-  }
-
-  hmac_batch(jobs, full.data());
-  for (std::size_t i = 0; i < n; ++i)
-    std::memcpy(out + i * anon_len, full[i].data(), anon_len);
+  AnonIdSweepJob job{report, ids, out};
+  anon_id_batch_multi(keys, {&job, 1}, anon_len);
 }
 
 void anon_id_batch_multi(const KeyStore& keys, std::span<const AnonIdSweepJob> sweep_jobs,
                          std::size_t anon_len) {
   assert(anon_len >= 1 && anon_len <= kSha256DigestSize);
+  // Per lane, the fully padded inner message of [0xA1][len16 LE][report]
+  // [id16 LE]. Its length is 5 + |report|, independent of the id, so each
+  // report's slot is built and padded once, then replicated with only the
+  // two id bytes patched.
   std::size_t total = 0;
   std::size_t arena_bytes = 0;
   for (const AnonIdSweepJob& sj : sweep_jobs) {
     total += sj.ids.size();
-    arena_bytes += sj.ids.size() * (1 + 2 + sj.report.size() + 2);
+    arena_bytes += sj.ids.size() * sha256_padded_blocks(5 + sj.report.size()) * 64;
   }
   if (total == 0) return;
 
-  // Same per-lane template as anon_id_batch ([0xA1][len16 LE][report][id16
-  // LE]), but all reports' lanes share one arena and one hmac_batch call.
-  // Reports of equal length still form one lockstep group downstream.
+  // All reports' lanes share one arena and one hmac_batch_padded call;
+  // reports of equal padded length still form one lockstep group downstream.
   thread_local Bytes arena;
-  thread_local std::vector<HmacBatchJob> jobs;
+  thread_local std::vector<HmacPaddedJob> jobs;
   thread_local std::vector<Sha256Digest> full;
   arena.resize(arena_bytes);
   jobs.resize(total);
@@ -93,24 +68,26 @@ void anon_id_batch_multi(const KeyStore& keys, std::span<const AnonIdSweepJob> s
   for (const AnonIdSweepJob& sj : sweep_jobs) {
     const std::size_t n = sj.ids.size();
     if (n == 0) continue;
-    const std::size_t stride = 1 + 2 + sj.report.size() + 2;
+    const std::size_t len = 5 + sj.report.size();
     std::uint8_t* slot0 = cursor;
     slot0[0] = 0xA1;  // domain separation: anonymous-ID PRF, never a marking MAC
     slot0[1] = static_cast<std::uint8_t>(sj.report.size());
     slot0[2] = static_cast<std::uint8_t>(sj.report.size() >> 8);
     if (!sj.report.empty()) std::memcpy(slot0 + 3, sj.report.data(), sj.report.size());
-    for (std::size_t i = 1; i < n; ++i) std::memcpy(cursor + i * stride, slot0, stride - 2);
+    const std::size_t nb = sha256_pad_in_place(slot0, len, 64);  // after the ipad block
+    const std::size_t stride = nb * 64;
+    for (std::size_t i = 1; i < n; ++i) std::memcpy(cursor + i * stride, slot0, stride);
     for (std::size_t i = 0; i < n; ++i) {
       std::uint8_t* slot = cursor + i * stride;
-      slot[stride - 2] = static_cast<std::uint8_t>(sj.ids[i]);
-      slot[stride - 1] = static_cast<std::uint8_t>(sj.ids[i] >> 8);
-      jobs[lane + i] = {&keys.hmac_key(sj.ids[i]), ByteView(slot, stride)};
+      slot[len - 2] = static_cast<std::uint8_t>(sj.ids[i]);
+      slot[len - 1] = static_cast<std::uint8_t>(sj.ids[i] >> 8);
+      jobs[lane + i] = {&keys.hmac_key(sj.ids[i]), slot, nb};
     }
     lane += n;
     cursor += n * stride;
   }
 
-  hmac_batch(std::span<const HmacBatchJob>(jobs.data(), total), full.data());
+  hmac_batch_padded(std::span<const HmacPaddedJob>(jobs.data(), total), full.data());
 
   lane = 0;
   for (const AnonIdSweepJob& sj : sweep_jobs) {

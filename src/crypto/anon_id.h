@@ -39,9 +39,11 @@ Bytes anon_id(const HmacKey& node_key, ByteView original_message, NodeId real_id
 /// anon_id(keys.hmac_key(ids[i]), report, ids[i], anon_len) for each i.
 ///
 /// Every lane input shares one arena-built template — only the trailing
-/// node-id bytes differ — so all lanes have equal length (perfect lockstep
-/// occupancy) and there is no per-candidate heap traffic. This is the
-/// engine under AnonIdTable rebuilds and the scoped ring search.
+/// node-id bytes differ — so the report's full padded inner message is built
+/// once and replicated with two bytes patched per lane: all lanes have equal
+/// length (perfect lockstep occupancy), no lane re-pads, and there is no
+/// per-candidate heap traffic. This is the engine under AnonIdTable rebuilds
+/// and the scoped ring search (a one-job anon_id_batch_multi).
 void anon_id_batch(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,
                    std::size_t anon_len, std::uint8_t* out);
 

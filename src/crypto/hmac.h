@@ -18,13 +18,15 @@ Sha256Digest hmac_sha256(ByteView key, ByteView data);
 /// after absorbing the ipad/opad blocks are fixed per key, so a long-lived
 /// key pays the two pad compressions once instead of on every MAC. For the
 /// short inputs marks carry this halves HMAC cost — the sink's key table
-/// holds one of these per node (crypto::KeyStore::hmac_key).
+/// holds one of these per node (crypto::KeyStore::hmac_key). Just the two
+/// 8-word midstates: 64 bytes.
 class HmacKey {
  public:
   HmacKey() = default;
   explicit HmacKey(ByteView key);
 
-  /// Full HMAC-SHA256 of `data`; identical output to hmac_sha256(key, data).
+  /// Full HMAC-SHA256 of `data` (a one-job hmac_batch); identical output to
+  /// hmac_sha256(key, data).
   Sha256Digest mac(ByteView data) const;
   /// Leftmost `mac_len` bytes (RFC 2104 §5); mac_len in [1, 32].
   Bytes truncated(ByteView data, std::size_t mac_len) const;
@@ -33,11 +35,12 @@ class HmacKey {
 
   /// Chaining words after the ipad / opad block (internal): the midstates
   /// the multi-buffer engine seeds lanes from, each one block (64 bytes) in.
-  const std::uint32_t* inner_words() const { return inner_.chaining_words(); }
-  const std::uint32_t* outer_words() const { return outer_.chaining_words(); }
+  const std::uint32_t* inner_words() const { return inner_; }
+  const std::uint32_t* outer_words() const { return outer_; }
 
  private:
-  Sha256 inner_, outer_;  // contexts with the ipad/opad block already absorbed
+  std::uint32_t inner_[8] = {};
+  std::uint32_t outer_[8] = {};
 };
 
 /// One batched MAC evaluation: HMAC-SHA256 of `data` through `key`'s
@@ -47,21 +50,38 @@ struct HmacBatchJob {
   ByteView data;
 };
 
-/// Evaluate every job through the multi-buffer SHA-256 engine (two lockstep
-/// sweeps: inner hashes seeded from each key's ipad midstate, then the
-/// 32-byte outer pass). outs[i] == jobs[i].key->mac(jobs[i].data),
-/// bit-identical on every backend. Equal-length jobs — the PRF-table and
-/// candidate-MAC shapes — fill SIMD lanes perfectly.
+/// Evaluate every job through the multi-buffer SHA-256 engine: pads each
+/// inner message into scratch, then runs hmac_batch_padded.
+/// outs[i] == jobs[i].key->mac(jobs[i].data), bit-identical on every backend.
+/// Equal-length jobs — the PRF-table and candidate-MAC shapes — fill SIMD
+/// lanes perfectly.
 void hmac_batch(std::span<const HmacBatchJob> jobs, Sha256Digest* outs);
+
+/// One MAC whose inner message the caller has already padded: `blocks` holds
+/// `nblocks` 64-byte blocks of data || 0x80 || zeros || bit length, where the
+/// bit length counts the 64-byte ipad block (sha256_pad_in_place(buf, len,
+/// 64)). Sweeps that share one template per report pad it once.
+struct HmacPaddedJob {
+  const HmacKey* key = nullptr;
+  const std::uint8_t* blocks = nullptr;
+  std::size_t nblocks = 0;
+};
+
+/// The one HMAC path: two lockstep passes of the block core. The inner pass
+/// runs each job's blocks from its key's ipad midstate; the outer pass
+/// writes each inner state big-endian into a pre-padded one-block outer
+/// message (32 digest bytes, 0x80, bit length 768 — fixed for every
+/// HMAC-SHA256) and compresses it from the opad midstate. No digest
+/// round-trip, no re-padding.
+void hmac_batch_padded(std::span<const HmacPaddedJob> jobs, Sha256Digest* outs);
 
 /// HMAC-SHA256 truncated to `mac_len` bytes (RFC 2104 §5 leftmost bytes).
 /// mac_len must be in [1, 32].
 Bytes truncated_mac(ByteView key, ByteView data, std::size_t mac_len);
 
-/// Truncated MAC through a precomputed schedule, routed through the
-/// multi-buffer engine (a one-job hmac_batch). Bit-identical to
-/// truncated_mac(raw_key, data, mac_len); the pad compressions are already
-/// paid and the compression runs on the active dispatch rung.
+/// Truncated MAC through a precomputed schedule (key.truncated()).
+/// Bit-identical to truncated_mac(raw_key, data, mac_len); the pad
+/// compressions are already paid.
 Bytes truncated_mac(const HmacKey& key, ByteView data, std::size_t mac_len);
 
 /// Thread-local memo of HMAC key schedules keyed by raw key bytes — the

@@ -74,57 +74,102 @@ void compress_portable(std::uint32_t state[8], const std::uint8_t* block) {
 }
 
 #ifdef PNM_SHA256_X86
+namespace {
+
+#define PNM_SHANI __attribute__((target("sha,sse4.1"), always_inline)) inline
+
+/// Schedule words w[4i..4i+3] of `block`, big-endian.
+PNM_SHANI __m128i shani_load(const std::uint8_t* block, int i, __m128i byte_swap) {
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)), byte_swap);
+}
+
+/// Rounds 4q..4q+3: `w` holds schedule words w[4q..4q+3]; each sha256rnds2
+/// retires two rounds on the ABEF/CDGH state pair.
+PNM_SHANI void shani_quad(__m128i& abef, __m128i& cdgh, __m128i w, int q) {
+  __m128i msg = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * q])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+}
+
+/// Next four schedule words from the last sixteen (w0 oldest, w3 newest):
+/// w[i+16] = w[i] + s0(w[i+1]) + w[i+9] + s1(w[i+14]), four at a time.
+PNM_SHANI __m128i shani_extend(__m128i w0, __m128i w1, __m128i w2, __m128i w3) {
+  __m128i x = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(x, w3);
+}
+
+#undef PNM_SHANI
+
+}  // namespace
+
 // SHA-NI compression (one block). Same schedule recurrence as the portable
 // loop above, expressed with the x86 SHA extension: state lives in two
 // lanes as ABEF/CDGH, the message schedule advances four w's at a time via
 // sha256msg1/msg2, and each sha256rnds2 retires two rounds. Round constants
 // come straight from kSha256K, four per group. Guarded by the runtime
 // dispatch ladder; the portable path stays the reference implementation.
+//
+// Written out as 16 straight-line quad-rounds on purpose: as a 16-iteration
+// loop indexing w[i & 3], the compiler kept it rolled and spilled the
+// schedule to the stack (~100 ns/block vs ~66 ns unrolled, same output).
 __attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t* state,
                                                           const std::uint8_t* block) {
   const __m128i kByteSwap =
       _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
 
   __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);        // CDAB
-  state1 = _mm_shuffle_epi32(state1, 0x1B);  // EFGH
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);     // ABEF
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);          // CDGH
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);              // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);            // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);    // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);         // CDGH
 
-  const __m128i abef_save = state0;
-  const __m128i cdgh_save = state1;
+  const __m128i abef_save = abef;
+  const __m128i cdgh_save = cdgh;
 
-  __m128i w[4];
-  for (int i = 0; i < 4; ++i) {
-    w[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i));
-    w[i] = _mm_shuffle_epi8(w[i], kByteSwap);
-  }
+  __m128i w0 = shani_load(block, 0, kByteSwap), w1 = shani_load(block, 1, kByteSwap);
+  __m128i w2 = shani_load(block, 2, kByteSwap), w3 = shani_load(block, 3, kByteSwap);
 
-  for (int i = 0; i < 16; ++i) {
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * i]));
-    __m128i msg = _mm_add_epi32(w[i & 3], k);
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    if (i < 12) {  // extend the schedule: w[i+4] from w[i..i+3]
-      __m128i carry = _mm_alignr_epi8(w[(i + 3) & 3], w[(i + 2) & 3], 4);
-      __m128i x = _mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]);
-      x = _mm_add_epi32(x, carry);
-      w[i & 3] = _mm_sha256msg2_epu32(x, w[(i + 3) & 3]);
-    }
-  }
+  shani_quad(abef, cdgh, w0, 0);
+  shani_quad(abef, cdgh, w1, 1);
+  shani_quad(abef, cdgh, w2, 2);
+  shani_quad(abef, cdgh, w3, 3);
+  w0 = shani_extend(w0, w1, w2, w3);
+  shani_quad(abef, cdgh, w0, 4);
+  w1 = shani_extend(w1, w2, w3, w0);
+  shani_quad(abef, cdgh, w1, 5);
+  w2 = shani_extend(w2, w3, w0, w1);
+  shani_quad(abef, cdgh, w2, 6);
+  w3 = shani_extend(w3, w0, w1, w2);
+  shani_quad(abef, cdgh, w3, 7);
+  w0 = shani_extend(w0, w1, w2, w3);
+  shani_quad(abef, cdgh, w0, 8);
+  w1 = shani_extend(w1, w2, w3, w0);
+  shani_quad(abef, cdgh, w1, 9);
+  w2 = shani_extend(w2, w3, w0, w1);
+  shani_quad(abef, cdgh, w2, 10);
+  w3 = shani_extend(w3, w0, w1, w2);
+  shani_quad(abef, cdgh, w3, 11);
+  w0 = shani_extend(w0, w1, w2, w3);
+  shani_quad(abef, cdgh, w0, 12);
+  w1 = shani_extend(w1, w2, w3, w0);
+  shani_quad(abef, cdgh, w1, 13);
+  w2 = shani_extend(w2, w3, w0, w1);
+  shani_quad(abef, cdgh, w2, 14);
+  w3 = shani_extend(w3, w0, w1, w2);
+  shani_quad(abef, cdgh, w3, 15);
 
-  state0 = _mm_add_epi32(state0, abef_save);
-  state1 = _mm_add_epi32(state1, cdgh_save);
+  abef = _mm_add_epi32(abef, abef_save);
+  cdgh = _mm_add_epi32(cdgh, cdgh_save);
 
-  tmp = _mm_shuffle_epi32(state0, 0x1B);     // FEBA
-  state1 = _mm_shuffle_epi32(state1, 0xB1);  // DCHG
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0);      // DCBA
-  state1 = _mm_alignr_epi8(state1, tmp, 8);         // HGFE
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
+  tmp = _mm_shuffle_epi32(abef, 0x1B);             // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);            // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);         // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);            // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), cdgh);
 }
 
 bool cpu_has_shani() {
@@ -137,9 +182,7 @@ bool cpu_has_avx2() { return __builtin_cpu_supports("avx2"); }
 }  // namespace detail
 
 void Sha256::reset() {
-  static constexpr std::uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  std::memcpy(state_, kInit, sizeof(state_));
+  std::memcpy(state_, detail::kSha256Iv, sizeof(state_));
   total_len_ = 0;
   buffer_len_ = 0;
 }
@@ -192,12 +235,7 @@ Sha256Digest Sha256::finish() {
   update(ByteView(pad, pad_len + 8));
 
   Sha256Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * static_cast<std::size_t>(i) + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * static_cast<std::size_t>(i) + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * static_cast<std::size_t>(i) + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  detail::store_words_be(state_, out.data());
   return out;
 }
 

@@ -15,6 +15,22 @@ namespace pnm::crypto::detail {
 /// FIPS 180-4 round constants (cube roots of the first 64 primes).
 extern const std::uint32_t kSha256K[64];
 
+/// FIPS 180-4 initial hash value H(0).
+inline constexpr std::uint32_t kSha256Iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                               0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                               0x1f83d9ab, 0x5be0cd19};
+
+/// Serialize 8 chaining words big-endian into out[0..32) — the digest bytes,
+/// or the first half of an HMAC outer block.
+inline void store_words_be(const std::uint32_t state[8], std::uint8_t* out) {
+  for (int w = 0; w < 8; ++w) {
+    out[4 * w] = static_cast<std::uint8_t>(state[w] >> 24);
+    out[4 * w + 1] = static_cast<std::uint8_t>(state[w] >> 16);
+    out[4 * w + 2] = static_cast<std::uint8_t>(state[w] >> 8);
+    out[4 * w + 3] = static_cast<std::uint8_t>(state[w]);
+  }
+}
+
 /// Advance `state` (8 words) by one 64-byte block. Portable reference
 /// implementation; every other kernel must be bit-identical to it.
 void compress_portable(std::uint32_t state[8], const std::uint8_t* block);
@@ -23,6 +39,7 @@ void compress_portable(std::uint32_t state[8], const std::uint8_t* block);
 #define PNM_SHA256_X86 1
 
 /// One block through the SHA-NI extension (caller must check cpu_has_shani).
+/// Straight-line quad-rounds so the schedule stays in registers.
 void compress_shani(std::uint32_t state[8], const std::uint8_t* block);
 
 bool cpu_has_shani();

@@ -1,6 +1,7 @@
 #include "crypto/sha256_multi.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -87,104 +88,59 @@ const bool g_metrics_registered = [] {
   return true;
 }();
 
-/// 64-byte blocks `len` bytes of message expand to once padded (0x80 + zeros
-/// + 8-byte bit length).
-std::size_t padded_blocks(std::size_t len) { return (len + 9 + 63) / 64; }
-
-/// Pointer to job `j`'s block `b` (of nb total): directly into the message
-/// for full interior blocks, else materialized (tail + padding) in `scratch`.
-const std::uint8_t* lane_block(const Sha256MultiJob& j, std::size_t b, std::size_t nb,
-                               std::uint8_t* scratch) {
-  if ((b + 1) * 64 <= j.len) return j.data + b * 64;
-  std::memset(scratch, 0, 64);
-  std::size_t off = b * 64;
-  if (off < j.len) std::memcpy(scratch, j.data + off, j.len - off);
-  if (j.len >= off && j.len < off + 64) scratch[j.len - off] = 0x80;
-  if (b == nb - 1) {
-    std::uint64_t bit_len = (j.prefix_blocks * 64 + j.len) * 8;
-    for (int i = 0; i < 8; ++i)
-      scratch[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+/// Advance one lane's state over its blocks on a single-lane rung. SHA-NI's
+/// hardware rounds already outrun the SIMD schedule math per block; scalar
+/// is the portable floor.
+void run_single(Sha256Backend backend, const Sha256BlockJob& j) {
+#ifdef PNM_SHA256_X86
+  if (backend == Sha256Backend::kShaNi) {
+    for (std::size_t b = 0; b < j.nblocks; ++b) detail::compress_shani(j.state, j.blocks + 64 * b);
+    return;
   }
-  return scratch;
+#endif
+  (void)backend;
+  for (std::size_t b = 0; b < j.nblocks; ++b) detail::compress_portable(j.state, j.blocks + 64 * b);
 }
 
-constexpr std::uint32_t kIv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                  0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-
 /// Run `n` (<= lanes) equal-block-count jobs through one lockstep sweep set.
-void run_chunk(Sha256Backend backend, const Sha256MultiJob* const* jobs, std::size_t n,
+void run_chunk(Sha256Backend backend, const Sha256BlockJob* const* jobs, std::size_t n,
                std::size_t nb) {
   lanes_hist().record(n);
 
-  alignas(32) std::uint32_t st[8][kMaxLanes];
-  for (std::size_t l = 0; l < n; ++l) {
-    const std::uint32_t* init = jobs[l]->init ? jobs[l]->init : kIv;
-    for (std::size_t w = 0; w < 8; ++w) st[w][l] = init[w];
-  }
-
-  alignas(32) std::uint8_t scratch[kMaxLanes][64];
-  const std::uint8_t* ptrs[kMaxLanes];
-
 #ifdef PNM_SHA256_MB_SIMD
+  const std::uint8_t* ptrs[kMaxLanes];
   if (backend == Sha256Backend::kAvx2 && n > 1) {
-    // Idle lanes rehash lane 0's block into a dummy state slot: the kernel
+    // Idle lanes rehash lane 0's blocks into a dummy state slot: the kernel
     // is branch-free across all 8 lanes.
     alignas(32) std::uint32_t soa[8][8];
     for (std::size_t w = 0; w < 8; ++w)
-      for (std::size_t l = 0; l < 8; ++l) soa[w][l] = st[w][l < n ? l : 0];
+      for (std::size_t l = 0; l < 8; ++l) soa[w][l] = jobs[l < n ? l : 0]->state[w];
     for (std::size_t b = 0; b < nb; ++b) {
-      for (std::size_t l = 0; l < 8; ++l)
-        ptrs[l] = lane_block(*jobs[l < n ? l : 0], b, nb, scratch[l]);
+      for (std::size_t l = 0; l < 8; ++l) ptrs[l] = jobs[l < n ? l : 0]->blocks + 64 * b;
       detail::compress_x8_avx2(soa, ptrs);
     }
     for (std::size_t w = 0; w < 8; ++w)
-      for (std::size_t l = 0; l < n; ++l) st[w][l] = soa[w][l];
-  } else if (backend == Sha256Backend::kSse2 && n > 1) {
+      for (std::size_t l = 0; l < n; ++l) jobs[l]->state[w] = soa[w][l];
+    return;
+  }
+  if (backend == Sha256Backend::kSse2 && n > 1) {
     for (std::size_t base = 0; base < n; base += 4) {
       alignas(16) std::uint32_t soa[8][4];
       std::size_t span = std::min<std::size_t>(4, n - base);
+      const Sha256BlockJob* const* quad = jobs + base;
       for (std::size_t w = 0; w < 8; ++w)
-        for (std::size_t l = 0; l < 4; ++l)
-          soa[w][l] = st[w][base + (l < span ? l : 0)];
+        for (std::size_t l = 0; l < 4; ++l) soa[w][l] = quad[l < span ? l : 0]->state[w];
       for (std::size_t b = 0; b < nb; ++b) {
-        for (std::size_t l = 0; l < 4; ++l)
-          ptrs[l] = lane_block(*jobs[base + (l < span ? l : 0)], b, nb, scratch[l]);
+        for (std::size_t l = 0; l < 4; ++l) ptrs[l] = quad[l < span ? l : 0]->blocks + 64 * b;
         detail::compress_x4_sse2(soa, ptrs);
       }
       for (std::size_t w = 0; w < 8; ++w)
-        for (std::size_t l = 0; l < span; ++l) st[w][base + l] = soa[w][l];
+        for (std::size_t l = 0; l < span; ++l) quad[l]->state[w] = soa[w][l];
     }
-  } else
-#endif
-  {
-    // Single-lane rungs: SHA-NI's hardware rounds already outrun the SIMD
-    // schedule math per block; scalar is the portable floor.
-    for (std::size_t l = 0; l < n; ++l) {
-      std::uint32_t s[8];
-      for (std::size_t w = 0; w < 8; ++w) s[w] = st[w][l];
-      for (std::size_t b = 0; b < nb; ++b) {
-        const std::uint8_t* block = lane_block(*jobs[l], b, nb, scratch[0]);
-#ifdef PNM_SHA256_X86
-        if (backend == Sha256Backend::kShaNi) {
-          detail::compress_shani(s, block);
-          continue;
-        }
-#endif
-        detail::compress_portable(s, block);
-      }
-      for (std::size_t w = 0; w < 8; ++w) st[w][l] = s[w];
-    }
+    return;
   }
-
-  for (std::size_t l = 0; l < n; ++l) {
-    std::uint8_t* out = jobs[l]->out;
-    for (std::size_t w = 0; w < 8; ++w) {
-      out[4 * w] = static_cast<std::uint8_t>(st[w][l] >> 24);
-      out[4 * w + 1] = static_cast<std::uint8_t>(st[w][l] >> 16);
-      out[4 * w + 2] = static_cast<std::uint8_t>(st[w][l] >> 8);
-      out[4 * w + 3] = static_cast<std::uint8_t>(st[w][l]);
-    }
-  }
+#endif
+  for (std::size_t l = 0; l < n; ++l) run_single(backend, *jobs[l]);
 }
 
 }  // namespace
@@ -242,71 +198,92 @@ void force_sha_backend(std::optional<Sha256Backend> backend) {
   backend_gauge().set(static_cast<int>(active_sha_backend()));
 }
 
-void sha256_multi(std::span<const Sha256MultiJob> jobs) {
+std::size_t sha256_pad_in_place(std::uint8_t* buf, std::size_t len,
+                                std::uint64_t prefix_bytes) {
+  const std::size_t nb = sha256_padded_blocks(len);
+  std::uint8_t* tail = buf + len;
+  std::memset(tail, 0, nb * 64 - len);
+  tail[0] = 0x80;
+  const std::uint64_t bit_len = (prefix_bytes + len) * 8;
+  std::uint8_t* end = buf + nb * 64;
+  for (int i = 0; i < 8; ++i) end[-1 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  return nb;
+}
+
+void sha256_multi_blocks(std::span<const Sha256BlockJob> jobs) {
   if (jobs.empty()) return;
   const Sha256Backend backend = active_sha_backend();
   backend_gauge().set(static_cast<int>(backend));
+  if (jobs.size() == 1) {
+    // A lone job has nothing to pack (HmacKey::mac/verify, serial anon_id):
+    // it runs on the single-lane kernel and is not metered as a sweep.
+    run_single(backend, jobs[0]);
+    return;
+  }
   const std::size_t lanes =
       std::max<std::size_t>(1, std::min(kMaxLanes, sha_backend_lanes(backend)));
 
   if (lanes == 1) {
     // Single-lane rungs (SHA-NI, scalar) never pack lanes: skip the group
-    // sort and the per-chunk SoA staging, and meter one occupancy-1 sample
-    // per batch call instead of one per job — the hardware rounds are fast
+    // sort and the per-chunk staging, and meter one occupancy-1 sample per
+    // batch call instead of one per job — the hardware rounds are fast
     // enough that per-job atomics would be a measurable tax.
     lanes_hist().record(1);
-    for (const Sha256MultiJob& j : jobs) {
-      std::uint32_t s[8];
-      std::memcpy(s, j.init ? j.init : kIv, sizeof(s));
-      const std::size_t nb = padded_blocks(j.len);
-      alignas(16) std::uint8_t scratch[64];
-      for (std::size_t b = 0; b < nb; ++b) {
-        const std::uint8_t* block = lane_block(j, b, nb, scratch);
-#ifdef PNM_SHA256_X86
-        if (backend == Sha256Backend::kShaNi) {
-          detail::compress_shani(s, block);
-          continue;
-        }
-#endif
-        detail::compress_portable(s, block);
-      }
-      for (std::size_t w = 0; w < 8; ++w) {
-        j.out[4 * w] = static_cast<std::uint8_t>(s[w] >> 24);
-        j.out[4 * w + 1] = static_cast<std::uint8_t>(s[w] >> 16);
-        j.out[4 * w + 2] = static_cast<std::uint8_t>(s[w] >> 8);
-        j.out[4 * w + 3] = static_cast<std::uint8_t>(s[w]);
-      }
-    }
+    for (const Sha256BlockJob& j : jobs) run_single(backend, j);
     return;
   }
 
-  // Group jobs by padded block count so every sweep is lockstep. The hot
-  // callers (one report's PRF table, one mark's candidate MACs) pass
-  // equal-length jobs — a single group, full lanes — so the sort is skipped
-  // entirely; ragged batches still come out right, just in more groups.
-  thread_local std::vector<std::pair<std::size_t, const Sha256MultiJob*>> order;
+  // Group jobs by block count so every sweep is lockstep. The hot callers
+  // (one report's PRF table, one mark's candidate MACs, every HMAC outer
+  // pass) pass equal-length jobs — a single group, full lanes — so the sort
+  // is skipped entirely; ragged batches still come out right, just in more
+  // groups.
+  thread_local std::vector<const Sha256BlockJob*> order;
   order.clear();
   order.reserve(jobs.size());
   bool presorted = true;
-  for (const Sha256MultiJob& j : jobs) {
-    std::size_t nb = padded_blocks(j.len);
-    if (!order.empty() && nb < order.back().first) presorted = false;
-    order.emplace_back(nb, &j);
+  for (const Sha256BlockJob& j : jobs) {
+    if (!order.empty() && j.nblocks < order.back()->nblocks) presorted = false;
+    order.push_back(&j);
   }
   if (!presorted) {
     std::stable_sort(order.begin(), order.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
+                     [](const auto* a, const auto* b) { return a->nblocks < b->nblocks; });
   }
 
-  const Sha256MultiJob* chunk[kMaxLanes];
   std::size_t i = 0;
   while (i < order.size()) {
-    std::size_t nb = order[i].first;
-    std::size_t n = 0;
-    while (i < order.size() && order[i].first == nb && n < lanes)
-      chunk[n++] = order[i++].second;
-    run_chunk(backend, chunk, n, nb);
+    const std::size_t nb = order[i]->nblocks;
+    std::size_t n = 1;
+    while (i + n < order.size() && order[i + n]->nblocks == nb && n < lanes) ++n;
+    run_chunk(backend, order.data() + i, n, nb);
+    i += n;
   }
+}
+
+void sha256_multi(std::span<const Sha256MultiJob> jobs) {
+  const std::size_t n = jobs.size();
+  if (n == 0) return;
+  thread_local Bytes padded;
+  thread_local std::vector<std::array<std::uint32_t, 8>> states;
+  thread_local std::vector<Sha256BlockJob> block_jobs;
+  std::size_t total = 0;
+  for (const Sha256MultiJob& j : jobs) total += sha256_padded_blocks(j.len) * 64;
+  padded.resize(total);
+  states.resize(n);
+  block_jobs.resize(n);
+
+  std::uint8_t* cursor = padded.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Sha256MultiJob& j = jobs[i];
+    std::memcpy(states[i].data(), j.init ? j.init : detail::kSha256Iv, 32);
+    if (j.len > 0) std::memcpy(cursor, j.data, j.len);
+    const std::size_t nb = sha256_pad_in_place(cursor, j.len, j.prefix_blocks * 64);
+    block_jobs[i] = {states[i].data(), cursor, nb};
+    cursor += nb * 64;
+  }
+  sha256_multi_blocks(block_jobs);
+  for (std::size_t i = 0; i < n; ++i) detail::store_words_be(states[i].data(), jobs[i].out);
 }
 
 }  // namespace pnm::crypto

@@ -12,6 +12,15 @@
 // lane-parallel: thousands of independent HMACs over near-identical inputs.
 // This engine is their substrate; hmac_batch() / anon_id_batch() sit on top.
 //
+// One engine, two doors. The core, sha256_multi_blocks(), only advances lane
+// states over 64-byte blocks the caller has already padded: it does no
+// copying, padding or digest serialization, so a caller whose messages share
+// a template (one report's PRF sweep: every lane differs in two id bytes)
+// or a fixed shape (the HMAC outer block: 32 digest bytes, 0x80, bit length
+// 768) builds the padded blocks once and pays only for compressions.
+// sha256_multi() is the raw-message front door: it pads each message into
+// scratch (sha256_pad_in_place) and calls the core.
+//
 // Every backend is bit-identical to the portable reference (asserted by
 // tests/sha256_multi_test.cpp across ragged lengths and batch sizes), so
 // verdicts, corpus golden digests and metrics JSON never depend on the
@@ -68,7 +77,33 @@ std::size_t sha_backend_lanes(Sha256Backend backend);
 /// kernel computes the identical compression function.
 void force_sha_backend(std::optional<Sha256Backend> backend);
 
-/// One multi-buffer hashing job. The digest of (implicit prefix || data) is
+/// 64-byte blocks a `len`-byte message occupies once padded (0x80, zeros,
+/// 8-byte big-endian bit length).
+constexpr std::size_t sha256_padded_blocks(std::size_t len) { return (len + 9 + 63) / 64; }
+
+/// Pad the `len` message bytes at `buf` in place: buf must have room for
+/// sha256_padded_blocks(len) * 64 bytes. The encoded bit length counts
+/// `prefix_bytes` already absorbed into the starting state (64 for an HMAC
+/// pass seeded from an ipad/opad midstate). Returns the block count.
+std::size_t sha256_pad_in_place(std::uint8_t* buf, std::size_t len,
+                                std::uint64_t prefix_bytes);
+
+/// One block-level job for the core: advance the 8 chaining words at `state`
+/// (in/out) over `nblocks` pre-padded 64-byte blocks at `blocks`.
+struct Sha256BlockJob {
+  std::uint32_t* state = nullptr;
+  const std::uint8_t* blocks = nullptr;
+  std::size_t nblocks = 0;
+};
+
+/// The engine core: advance every job's state through the active backend.
+/// Jobs are grouped by block count (equal-length jobs — the batched PRF/MAC
+/// shape — form one group and fill lanes perfectly) and each group runs in
+/// lockstep sweeps of sha_backend_lanes() jobs. Bit-identical to compressing
+/// each job's blocks serially with the portable kernel, for every backend.
+void sha256_multi_blocks(std::span<const Sha256BlockJob> jobs);
+
+/// One raw-message hashing job. The digest of (implicit prefix || data) is
 /// written big-endian to `out` (32 bytes). `init` points at 8 chaining words
 /// that have already absorbed `prefix_blocks` 64-byte blocks (HMAC ipad/opad
 /// midstates); null means the standard IV with prefix_blocks == 0.
@@ -80,11 +115,8 @@ struct Sha256MultiJob {
   std::uint8_t* out = nullptr;
 };
 
-/// Hash every job through the active backend. Jobs are grouped by padded
-/// block count (equal-length jobs — the batched PRF/MAC shape — form one
-/// group and fill lanes perfectly) and each group runs in lockstep sweeps of
-/// sha_backend_lanes() jobs. Bit-identical to hashing each job through
-/// Sha256 serially, for every backend.
+/// Hash every job: pads each message into thread-local scratch, then runs
+/// the core. Bit-identical to hashing each job through Sha256 serially.
 void sha256_multi(std::span<const Sha256MultiJob> jobs);
 
 }  // namespace pnm::crypto

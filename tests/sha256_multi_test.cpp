@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "crypto/anon_id.h"
@@ -184,6 +185,180 @@ TEST(Sha256MultiTest, AnonIdBatchMatchesSerialEveryBackend) {
                         out.begin() + static_cast<std::ptrdiff_t>((i + 1) * anon_len)),
                   serial)
             << "anon_len=" << anon_len << " i=" << i;
+      }
+    }
+  }
+}
+
+/// anon_id_batch output slot `i` of `anon_len` bytes.
+Bytes slot(const Bytes& out, std::size_t i, std::size_t anon_len) {
+  return Bytes(out.begin() + static_cast<std::ptrdiff_t>(i * anon_len),
+               out.begin() + static_cast<std::ptrdiff_t>((i + 1) * anon_len));
+}
+
+// The PRF sweeps build each report's padded inner message once and patch
+// two id bytes per lane. Report lengths put the 5 + |M| byte message on
+// every padding edge (5, 6, 55, 56, 64, 119, 120: one, two and three
+// blocks), and ids above 255 exercise the high id byte.
+constexpr std::size_t kEdgeReportLens[] = {0, 1, 50, 51, 59, 114, 115};
+
+std::vector<NodeId> wide_ids(std::size_t node_count) {
+  std::vector<NodeId> ids;
+  for (std::size_t i : {1u, 2u, 63u, 64u, 255u, 256u, 257u, 300u, 511u, 512u}) {
+    if (i < node_count) ids.push_back(static_cast<NodeId>(i));
+  }
+  ids.push_back(static_cast<NodeId>(node_count - 1));
+  return ids;
+}
+
+TEST(Sha256MultiTest, AnonIdBatchPaddingEdgesAndHighIdsEveryBackend) {
+  Rng rng(1300);
+  KeyStore keys(Bytes{0x13, 0x37}, 600);
+  const std::vector<NodeId> ids = wide_ids(keys.size());
+  for (Sha256Backend backend : supported_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    ForcedBackend pin(backend);
+    for (std::size_t report_len : kEdgeReportLens) {
+      Bytes report = random_bytes(rng, report_len);
+      for (std::size_t anon_len : {2u, 32u}) {
+        Bytes out(ids.size() * anon_len);
+        anon_id_batch(keys, report, ids, anon_len, out.data());
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          EXPECT_EQ(slot(out, i, anon_len),
+                    anon_id(keys.key_unchecked(ids[i]), report, ids[i], anon_len))
+              << "report_len=" << report_len << " anon_len=" << anon_len
+              << " id=" << ids[i];
+        }
+      }
+    }
+  }
+}
+
+// One cross-report call mixing one-, two- and three-block reports (and an
+// empty id list) must match serial anon_id for every lane.
+TEST(Sha256MultiTest, AnonIdBatchMultiMixesBlockCountsEveryBackend) {
+  Rng rng(1301);
+  KeyStore keys(Bytes{0x42}, 400);
+  const std::vector<NodeId> ids = wide_ids(keys.size());
+  const std::size_t anon_len = 3;
+  for (Sha256Backend backend : supported_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    ForcedBackend pin(backend);
+    std::vector<Bytes> reports;
+    for (std::size_t report_len : kEdgeReportLens)
+      reports.push_back(random_bytes(rng, report_len));
+    std::vector<std::vector<NodeId>> job_ids(reports.size());
+    std::vector<Bytes> outs(reports.size());
+    std::vector<AnonIdSweepJob> jobs;
+    for (std::size_t r = 0; r < reports.size(); ++r) {
+      // Rotate the id list per report so lanes differ across jobs; report 3
+      // gets no ids at all.
+      if (r != 3) {
+        job_ids[r] = ids;
+        std::rotate(job_ids[r].begin(),
+                    job_ids[r].begin() + static_cast<std::ptrdiff_t>(r % ids.size()),
+                    job_ids[r].end());
+      }
+      outs[r].assign(job_ids[r].size() * anon_len, 0);
+      jobs.push_back({reports[r], job_ids[r], outs[r].data()});
+    }
+    anon_id_batch_multi(keys, jobs, anon_len);
+    for (std::size_t r = 0; r < reports.size(); ++r) {
+      for (std::size_t i = 0; i < job_ids[r].size(); ++i) {
+        NodeId id = job_ids[r][i];
+        EXPECT_EQ(slot(outs[r], i, anon_len),
+                  anon_id(keys.key_unchecked(id), reports[r], id, anon_len))
+            << "report_len=" << reports[r].size() << " id=" << id;
+      }
+    }
+  }
+}
+
+// hmac_batch's inner message is padded into scratch and its outer block is
+// pre-padded: inputs of exactly one and two blocks (so the padding spills
+// into a block of its own) must still match the streaming reference.
+TEST(Sha256MultiTest, HmacBatchBlockAlignedInputsEveryBackend) {
+  Rng rng(1302);
+  std::vector<Bytes> key_bytes = {random_bytes(rng, 16), random_bytes(rng, 64),
+                                  random_bytes(rng, 131)};
+  std::vector<HmacKey> hkeys;
+  for (const Bytes& k : key_bytes) hkeys.emplace_back(k);
+  for (Sha256Backend backend : supported_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    ForcedBackend pin(backend);
+    for (std::size_t len : {64u, 128u}) {
+      for (std::size_t batch : {1u, 3u, 9u}) {
+        std::vector<Bytes> msgs;
+        std::vector<HmacBatchJob> jobs;
+        for (std::size_t i = 0; i < batch; ++i) msgs.push_back(random_bytes(rng, len));
+        for (std::size_t i = 0; i < batch; ++i)
+          jobs.push_back({&hkeys[i % hkeys.size()], msgs[i]});
+        std::vector<Sha256Digest> outs(batch);
+        hmac_batch(jobs, outs.data());
+        for (std::size_t i = 0; i < batch; ++i) {
+          Sha256 inner;
+          Bytes k0(64, 0);
+          const Bytes& key = key_bytes[i % key_bytes.size()];
+          if (key.size() > 64) {
+            Sha256Digest kh = Sha256::hash(key);
+            std::copy(kh.begin(), kh.end(), k0.begin());
+          } else {
+            std::copy(key.begin(), key.end(), k0.begin());
+          }
+          // RFC 2104 from first principles, through the streaming context.
+          Bytes ipad(64), opad(64);
+          for (std::size_t b = 0; b < 64; ++b) {
+            ipad[b] = static_cast<std::uint8_t>(k0[b] ^ 0x36);
+            opad[b] = static_cast<std::uint8_t>(k0[b] ^ 0x5c);
+          }
+          inner.update(ipad);
+          inner.update(msgs[i]);
+          Sha256Digest inner_digest = inner.finish();
+          Sha256 outer;
+          outer.update(opad);
+          outer.update(ByteView(inner_digest.data(), inner_digest.size()));
+          const Sha256Digest expected = outer.finish();
+          EXPECT_EQ(outs[i], expected) << "len=" << len << " batch=" << batch << " i=" << i;
+          EXPECT_EQ(outs[i], hmac_sha256(key, msgs[i]));
+        }
+      }
+    }
+  }
+}
+
+// The block-level core advances caller-owned states over pre-padded blocks
+// exactly like the streaming context, on ragged block counts.
+TEST(Sha256MultiTest, BlockCoreMatchesStreamingEveryBackend) {
+  Rng rng(1303);
+  for (Sha256Backend backend : supported_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    ForcedBackend pin(backend);
+    for (std::size_t batch : {1u, 2u, 5u, 8u, 11u}) {
+      std::vector<Bytes> msgs, padded;
+      std::vector<std::array<std::uint32_t, 8>> states(batch);
+      std::vector<Sha256BlockJob> jobs;
+      for (std::size_t i = 0; i < batch; ++i) {
+        msgs.push_back(random_bytes(rng, static_cast<std::size_t>(rng.next_below(200))));
+        Bytes buf(sha256_padded_blocks(msgs[i].size()) * 64);
+        std::copy(msgs[i].begin(), msgs[i].end(), buf.begin());
+        const std::size_t nb = sha256_pad_in_place(buf.data(), msgs[i].size(), 0);
+        EXPECT_EQ(nb * 64, buf.size());
+        padded.push_back(std::move(buf));
+        Sha256 iv;
+        std::copy(iv.chaining_words(), iv.chaining_words() + 8, states[i].begin());
+      }
+      for (std::size_t i = 0; i < batch; ++i)
+        jobs.push_back({states[i].data(), padded[i].data(), padded[i].size() / 64});
+      sha256_multi_blocks(jobs);
+      for (std::size_t i = 0; i < batch; ++i) {
+        Sha256Digest want = Sha256::hash(msgs[i]);
+        for (std::size_t w = 0; w < 8; ++w) {
+          const std::uint32_t word = (std::uint32_t{want[4 * w]} << 24) |
+                                     (std::uint32_t{want[4 * w + 1]} << 16) |
+                                     (std::uint32_t{want[4 * w + 2]} << 8) |
+                                     std::uint32_t{want[4 * w + 3]};
+          EXPECT_EQ(states[i][w], word) << "batch=" << batch << " i=" << i << " w=" << w;
+        }
       }
     }
   }

@@ -89,14 +89,17 @@ void BM_AnonTableBuild(benchmark::State& state) {
 BENCHMARK(BM_AnonTableBuild)->Arg(100)->Arg(1000)->Arg(4000);
 
 // Per-report table rebuild swept across the SHA-256 dispatch ladder. The
-// second arg pins a backend (0=scalar 1=sse2 2=avx2 3=shani) or leaves the
-// runtime dispatch in charge (4=auto); unsupported pins are skipped so the
-// sweep is portable. The auto/scalar ratio here is the tentpole acceptance
-// number recorded by scripts/bench_record.py.
+// second arg pins a backend (its Sha256Backend value: 0=scalar 1=sse2
+// 2=avx2 3=shani 4=avx512) or leaves the runtime dispatch in charge
+// (kAutoBackend); unsupported pins are skipped so the sweep is portable. The
+// auto/scalar ratio here is the tentpole acceptance number recorded by
+// scripts/bench_record.py.
+constexpr int kAutoBackend = -1;
+
 void BM_AnonTableRebuild(benchmark::State& state) {
   std::size_t nodes = static_cast<std::size_t>(state.range(0));
   int sel = static_cast<int>(state.range(1));
-  const bool pinned = sel >= 0 && sel <= 3;
+  const bool pinned = sel != kAutoBackend;
   auto backend = static_cast<pnm::crypto::Sha256Backend>(sel);
   if (pinned && !pnm::crypto::sha_backend_supported(backend)) {
     state.SkipWithError("backend unsupported on this CPU");
@@ -124,7 +127,8 @@ BENCHMARK(BM_AnonTableRebuild)
     ->Args({1000, 2})
     ->Args({1000, 3})
     ->Args({1000, 4})
-    ->Args({4000, 4});
+    ->Args({1000, kAutoBackend})
+    ->Args({4000, kAutoBackend});
 
 // Build one marked packet along a chain path for verification benchmarks.
 pnm::net::Packet marked_packet(const pnm::marking::MarkingScheme& scheme,

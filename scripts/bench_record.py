@@ -6,7 +6,7 @@ the SHA-256 engine pinned to the scalar rung (PNM_FORCE_SHA_BACKEND=scalar)
 and once under the runtime dispatch ladder — and records both raw results and
 the auto/scalar speedups for the headline series:
 
-  * BM_AnonTableRebuild/1000/4  — per-report anon-ID table rebuild
+  * BM_AnonTableRebuild/1000/-1 — per-report anon-ID table rebuild (auto)
                                   (target: >= 3x over forced-scalar)
   * BM_BatchVerify/1/real_time  — single-thread batch verification
                                   (target: >= 2x over forced-scalar)
@@ -77,7 +77,7 @@ import time
 import urllib.request
 
 HEADLINE = {
-    "BM_AnonTableRebuild/1000/4": 3.0,
+    "BM_AnonTableRebuild/1000/-1": 3.0,
     "BM_BatchVerify/1/real_time": 2.0,
 }
 

@@ -38,12 +38,14 @@ Bytes anon_id(const HmacKey& node_key, ByteView original_message, NodeId real_id
 /// truncated anonymous ID of candidate ids[i], bit-identical to
 /// anon_id(keys.hmac_key(ids[i]), report, ids[i], anon_len) for each i.
 ///
-/// Every lane input shares one arena-built template — only the trailing
-/// node-id bytes differ — so the report's full padded inner message is built
-/// once and replicated with two bytes patched per lane: all lanes have equal
-/// length (perfect lockstep occupancy), no lane re-pads, and there is no
-/// per-candidate heap traffic. This is the engine under AnonIdTable rebuilds
-/// and the scoped ring search (a one-job anon_id_batch_multi).
+/// Every lane input shares one template — only the trailing node-id bytes
+/// differ — so the report's full padded inner message is built once. On the
+/// avx512 rung the fused kernel broadcasts it to 16 lanes and ORs in each
+/// lane's id bytes; elsewhere it is replicated with two bytes patched per
+/// lane: all lanes have equal length (perfect lockstep occupancy), no lane
+/// re-pads, and there is no per-candidate heap traffic. This is the engine
+/// under AnonIdTable rebuilds and the scoped ring search (a one-job
+/// anon_id_batch_multi).
 void anon_id_batch(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,
                    std::size_t anon_len, std::uint8_t* out);
 
@@ -55,9 +57,13 @@ struct AnonIdSweepJob {
   std::uint8_t* out = nullptr;
 };
 
-/// Cross-report PRF sweep: every job's lanes go through ONE hmac_batch call,
-/// so a verify batch of many distinct reports fills SIMD lanes even when each
-/// report alone could not. Per-job output is bit-identical to calling
+/// Cross-report PRF sweep. On the avx512 rung each job (one report) runs
+/// through the fused 16-lane kernel in groups of 16 ids; a final partial
+/// group is padded when it is large enough to pay for 16 lanes, else it
+/// joins the single-lane path with a scoped probe's few ids. On every other
+/// rung all jobs' lanes go through ONE hmac_batch_padded call, so a verify
+/// batch of many distinct reports fills SIMD lanes even when each report
+/// alone could not. Per-job output is bit-identical to calling
 /// anon_id_batch(keys, job.report, job.ids, anon_len, job.out) job by job.
 /// This is the engine under the cross-packet batch planner (sink::BatchPlan).
 void anon_id_batch_multi(const KeyStore& keys, std::span<const AnonIdSweepJob> sweep_jobs,

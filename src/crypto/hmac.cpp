@@ -29,11 +29,11 @@ HmacKey::HmacKey(ByteView key) {
   Sha256 ctx;
   for (int i = 0; i < 64; ++i) pad[i] = static_cast<std::uint8_t>(block[i] ^ 0x36);
   ctx.update(ByteView(pad, 64));
-  std::memcpy(inner_, ctx.chaining_words(), sizeof(inner_));
+  std::memcpy(words_, ctx.chaining_words(), 32);
   ctx.reset();
   for (int i = 0; i < 64; ++i) pad[i] = static_cast<std::uint8_t>(block[i] ^ 0x5c);
   ctx.update(ByteView(pad, 64));
-  std::memcpy(outer_, ctx.chaining_words(), sizeof(outer_));
+  std::memcpy(words_ + 8, ctx.chaining_words(), 32);
 }
 
 Sha256Digest HmacKey::mac(ByteView data) const {

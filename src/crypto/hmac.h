@@ -35,12 +35,14 @@ class HmacKey {
 
   /// Chaining words after the ipad / opad block (internal): the midstates
   /// the multi-buffer engine seeds lanes from, each one block (64 bytes) in.
-  const std::uint32_t* inner_words() const { return inner_; }
-  const std::uint32_t* outer_words() const { return outer_; }
+  const std::uint32_t* inner_words() const { return words_; }
+  const std::uint32_t* outer_words() const { return words_ + 8; }
+  /// Both midstates as one 16-word row, ipad first: the row the fused
+  /// AVX-512 PRF sweep loads and transposes per lane.
+  const std::uint32_t* words() const { return words_; }
 
  private:
-  std::uint32_t inner_[8] = {};
-  std::uint32_t outer_[8] = {};
+  std::uint32_t words_[16] = {};  // ipad midstate, then opad midstate
 };
 
 /// One batched MAC evaluation: HMAC-SHA256 of `data` through `key`'s

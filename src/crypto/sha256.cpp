@@ -177,6 +177,11 @@ bool cpu_has_shani() {
 }
 
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2"); }
+
+bool cpu_has_avx512() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vl");
+}
 #endif  // PNM_SHA256_X86
 
 }  // namespace detail
@@ -192,7 +197,7 @@ void Sha256::process_block(const std::uint8_t* block) {
   // Consult the dispatch ladder per block (one relaxed atomic read — noise
   // next to a compression) so PNM_FORCE_SHA_BACKEND and the test hook steer
   // the single-buffer path too, not just the multi-lane engine.
-  if (active_sha_backend() == Sha256Backend::kShaNi) {
+  if (detail::single_lane_shani(active_sha_backend())) {
     detail::compress_shani(state_, block);
     return;
   }

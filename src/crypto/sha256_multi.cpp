@@ -37,6 +37,10 @@ bool supported(Sha256Backend b) {
 #ifdef PNM_SHA256_X86
     case Sha256Backend::kShaNi:
       return detail::cpu_has_shani();
+#ifdef PNM_SHA256_AVX512
+    case Sha256Backend::kAvx512:
+      return detail::cpu_has_avx512();
+#endif
 #ifdef PNM_SHA256_MB_SIMD
     case Sha256Backend::kSse2:
       return true;  // x86-64 baseline
@@ -50,8 +54,9 @@ bool supported(Sha256Backend b) {
 }
 
 Sha256Backend best_supported() {
-  for (Sha256Backend b : {Sha256Backend::kShaNi, Sha256Backend::kAvx2,
-                          Sha256Backend::kSse2, Sha256Backend::kScalar}) {
+  for (Sha256Backend b : {Sha256Backend::kAvx512, Sha256Backend::kShaNi,
+                          Sha256Backend::kAvx2, Sha256Backend::kSse2,
+                          Sha256Backend::kScalar}) {
     if (supported(b)) return b;
   }
   return Sha256Backend::kScalar;
@@ -69,7 +74,7 @@ Sha256Backend resolve_default() {
     } else {
       std::fprintf(stderr,
                    "pnm: unrecognized PNM_FORCE_SHA_BACKEND=%s "
-                   "(want scalar|sse2|avx2|shani); using %s\n",
+                   "(want scalar|sse2|avx2|shani|avx512); using %s\n",
                    env, sha_backend_name(best_supported()));
     }
   }
@@ -88,12 +93,12 @@ const bool g_metrics_registered = [] {
   return true;
 }();
 
-/// Advance one lane's state over its blocks on a single-lane rung. SHA-NI's
-/// hardware rounds already outrun the SIMD schedule math per block; scalar
-/// is the portable floor.
+/// Advance one lane's state over its blocks single-lane. SHA-NI's hardware
+/// rounds already outrun the SIMD schedule math per block; scalar is the
+/// portable floor.
 void run_single(Sha256Backend backend, const Sha256BlockJob& j) {
 #ifdef PNM_SHA256_X86
-  if (backend == Sha256Backend::kShaNi) {
+  if (detail::single_lane_shani(backend)) {
     for (std::size_t b = 0; b < j.nblocks; ++b) detail::compress_shani(j.state, j.blocks + 64 * b);
     return;
   }
@@ -145,6 +150,23 @@ void run_chunk(Sha256Backend backend, const Sha256BlockJob* const* jobs, std::si
 
 }  // namespace
 
+namespace detail {
+
+bool single_lane_shani(Sha256Backend backend) {
+#ifdef PNM_SHA256_X86
+  static const bool has_shani = cpu_has_shani();
+  return backend == Sha256Backend::kShaNi ||
+         (backend == Sha256Backend::kAvx512 && has_shani);
+#else
+  (void)backend;
+  return false;
+#endif
+}
+
+void record_lanes_filled(std::size_t lanes) { lanes_hist().record(lanes); }
+
+}  // namespace detail
+
 const char* sha_backend_name(Sha256Backend backend) {
   switch (backend) {
     case Sha256Backend::kScalar:
@@ -155,6 +177,8 @@ const char* sha_backend_name(Sha256Backend backend) {
       return "avx2";
     case Sha256Backend::kShaNi:
       return "shani";
+    case Sha256Backend::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -169,6 +193,7 @@ std::optional<Sha256Backend> parse_sha_backend(std::string_view name) {
   if (lower == "avx2") return Sha256Backend::kAvx2;
   if (lower == "shani" || lower == "sha-ni" || lower == "sha_ni" || lower == "sha")
     return Sha256Backend::kShaNi;
+  if (lower == "avx512") return Sha256Backend::kAvx512;
   return std::nullopt;
 }
 
@@ -183,6 +208,8 @@ Sha256Backend active_sha_backend() {
 
 std::size_t sha_backend_lanes(Sha256Backend backend) {
   switch (backend) {
+    case Sha256Backend::kAvx512:
+      return 16;
     case Sha256Backend::kAvx2:
       return 8;
     case Sha256Backend::kSse2:
@@ -220,11 +247,14 @@ void sha256_multi_blocks(std::span<const Sha256BlockJob> jobs) {
     run_single(backend, jobs[0]);
     return;
   }
-  const std::size_t lanes =
-      std::max<std::size_t>(1, std::min(kMaxLanes, sha_backend_lanes(backend)));
+  // The avx512 rung's only wide kernel is the fused PRF sweep, so its block
+  // core is single-lane.
+  const std::size_t lanes = backend == Sha256Backend::kAvx512
+                                ? 1
+                                : std::min(kMaxLanes, sha_backend_lanes(backend));
 
   if (lanes == 1) {
-    // Single-lane rungs (SHA-NI, scalar) never pack lanes: skip the group
+    // Single-lane rungs (SHA-NI, avx512, scalar) never pack lanes: skip the group
     // sort and the per-chunk staging, and meter one occupancy-1 sample per
     // batch call instead of one per job — the hardware rounds are fast
     // enough that per-job atomics would be a measurable tax.

@@ -2,10 +2,19 @@
 // SIMD lanes (8-wide AVX2, 4-wide SSE2) with scalar and SHA-NI single-lane
 // fallbacks, selected by a runtime CPUID dispatch ladder
 //
-//     SHA-NI (1 lane, hardware rounds) > AVX2 x8 > SSE2 x4 > scalar
+//     AVX-512 (fused x16 PRF sweep) > SHA-NI (1 lane, hardware rounds)
+//         > AVX2 x8 > SSE2 x4 > scalar
 //
-// Auto dispatch is simply the best supported rung: on the anonymous-ID
-// sweeps SHA-NI beats full 8-lane AVX2 per PRF, so batched calls stay on it.
+// Auto dispatch is simply the best supported rung. The avx512 rung has one
+// wide kernel only: the fused 16-lane anonymous-ID sweep behind
+// anon_id_batch_multi (one report, 16 node ids per call; see anon_id.h).
+// Everything else on that rung — Sha256::process_block, lone MACs and
+// block-core batches — is single-lane: SHA-NI when the CPU has it, else the
+// portable kernel. A generic x16 block core was measured and dropped: it
+// ran 43–68 ns/block against SHA-NI's 48–59, so only the fused sweep, which
+// never stages blocks or digests through memory, pays for the width. On the
+// SHA-NI rung batched calls stay single-lane too: SHA-NI beats full 8-lane
+// AVX2 per PRF.
 //
 // The sink's hot loops — anonymous-ID table rebuilds (one PRF per node per
 // report, §4.2) and nested MAC verification — are embarrassingly
@@ -24,14 +33,15 @@
 // Every backend is bit-identical to the portable reference (asserted by
 // tests/sha256_multi_test.cpp across ragged lengths and batch sizes), so
 // verdicts, corpus golden digests and metrics JSON never depend on the
-// dispatch outcome. `PNM_FORCE_SHA_BACKEND=scalar|sse2|avx2|shani` (env) or
-// force_sha_backend() (API, used by benches/tests) pin a backend for A/B
-// runs; forcing an unsupported backend warns once and falls back to auto.
+// dispatch outcome. `PNM_FORCE_SHA_BACKEND=scalar|sse2|avx2|shani|avx512`
+// (env) or force_sha_backend() (API, used by benches/tests) pin a backend
+// for A/B runs; forcing an unsupported backend warns once and falls back to
+// auto.
 //
 // Observability: `sha256_backend` gauge (numeric Sha256Backend of the active
 // ladder rung) and `crypto_lanes_filled` histogram (jobs per compression
-// sweep — 8 means full AVX2 lanes, 1 means single-lane traffic) in the
-// global registry.
+// sweep — 16 means a full fused AVX-512 sweep, 8 full AVX2 lanes, 1
+// single-lane traffic) in the global registry.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +60,15 @@ enum class Sha256Backend : int {
   kSse2 = 1,
   kAvx2 = 2,
   kShaNi = 3,
+  kAvx512 = 4,
 };
 
-/// Stable lowercase name ("scalar", "sse2", "avx2", "shani").
+/// Stable lowercase name ("scalar", "sse2", "avx2", "shani", "avx512").
 const char* sha_backend_name(Sha256Backend backend);
 
 /// Parse a backend name as accepted by PNM_FORCE_SHA_BACKEND / --sha-backend
-/// ("scalar", "sse2", "avx2", "shani" / "sha-ni" / "sha_ni"; case-insensitive).
+/// ("scalar", "sse2", "avx2", "shani" / "sha-ni" / "sha_ni", "avx512";
+/// case-insensitive).
 std::optional<Sha256Backend> parse_sha_backend(std::string_view name);
 
 /// True when this CPU can run `backend`.
@@ -67,7 +79,9 @@ bool sha_backend_supported(Sha256Backend backend);
 /// once at startup), else the best supported ladder rung.
 Sha256Backend active_sha_backend();
 
-/// Lanes a compression sweep of `backend` retires (avx2: 8, sse2: 4, else 1).
+/// Lanes a compression sweep of `backend` retires (avx512: 16 — its fused
+/// PRF sweep; the block core runs single-lane on that rung — avx2: 8,
+/// sse2: 4, else 1).
 std::size_t sha_backend_lanes(Sha256Backend backend);
 
 /// Pin (or with nullopt, unpin) the backend at runtime — the bench/test
@@ -99,7 +113,8 @@ struct Sha256BlockJob {
 /// The engine core: advance every job's state through the active backend.
 /// Jobs are grouped by block count (equal-length jobs — the batched PRF/MAC
 /// shape — form one group and fill lanes perfectly) and each group runs in
-/// lockstep sweeps of sha_backend_lanes() jobs. Bit-identical to compressing
+/// lockstep sweeps of the rung's block-core lanes (avx2: 8, sse2: 4; one at a
+/// time on scalar, SHA-NI and avx512). Bit-identical to compressing
 /// each job's blocks serially with the portable kernel, for every backend.
 void sha256_multi_blocks(std::span<const Sha256BlockJob> jobs);
 

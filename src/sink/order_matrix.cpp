@@ -53,6 +53,7 @@ void OrderGraph::add_order(NodeId up, NodeId down) {
     ++order_count_;
   }
   if (reach_[iu].test(iv)) return;  // closure already contains it
+  ++closure_version_;
 
   // Incremental transitive closure: everything that reaches `up` (plus `up`
   // itself) now also reaches `down` and everything `down` reaches.

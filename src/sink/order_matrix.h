@@ -50,6 +50,11 @@ class OrderGraph {
   std::size_t observed_count() const { return index_.size(); }
   /// Number of distinct direct order edges recorded.
   std::size_t order_count() const { return order_count_; }
+  /// Bumped every time the transitive closure gains a pair. A new direct
+  /// edge the closure already implies leaves it unchanged, so anything that
+  /// reads only reachability and the observed nodes (analyze_route) is
+  /// stale exactly when this or observed_count() moved.
+  std::uint64_t closure_version() const { return closure_version_; }
   bool is_observed(NodeId node) const { return index_.count(node) != 0; }
   const std::vector<NodeId>& observed_nodes() const { return nodes_; }
 
@@ -80,6 +85,7 @@ class OrderGraph {
   bool on_cycle(std::size_t i) const { return reach_[i].test(i); }
 
   std::size_t order_count_ = 0;
+  std::uint64_t closure_version_ = 0;
   std::unordered_map<NodeId, std::size_t> index_;
   std::vector<NodeId> nodes_;                    // dense index -> NodeId
   std::vector<NodeBitset> reach_;                // transitive closure rows

@@ -20,8 +20,8 @@ void TracebackEngine::fold(NodeId delivered_by, const marking::VerifyResult& vr)
   ++packets_;
   if (delivered_by != kInvalidNode) last_delivered_by_ = delivered_by;
 
-  std::size_t nodes_before = graph_.observed_count();
-  std::size_t edges_before = graph_.order_count();
+  const std::size_t nodes_before = graph_.observed_count();
+  const std::uint64_t closure_before = graph_.closure_version();
 
   for (std::size_t i = 0; i < vr.chain.size(); ++i) {
     graph_.observe(vr.chain[i].node);
@@ -30,8 +30,11 @@ void TracebackEngine::fold(NodeId delivered_by, const marking::VerifyResult& vr)
   }
   marks_verified_ += vr.chain.size();
 
-  // Re-analyze only when the packet taught us something new.
-  if (graph_.observed_count() != nodes_before || graph_.order_count() != edges_before) {
+  // Re-analyze only when the packet taught the analysis something new: a
+  // node, or a reachability pair. Most new direct edges on a long route are
+  // already implied by the closure and change nothing analyze_route reads.
+  if (graph_.observed_count() != nodes_before ||
+      graph_.closure_version() != closure_before) {
     RouteAnalysis next = analyze_route(graph_, topo_);
     bool changed = next.identified != current_.identified ||
                    next.stop_node != current_.stop_node ||

@@ -281,7 +281,8 @@ TEST_F(BatchPlanFixture, AllShaBackendsAgree) {
   auto batch = make_traffic(32, 107, /*flows=*/5, /*corrupt=*/7);
   auto expected = serial_reference(batch);
   for (auto backend : {crypto::Sha256Backend::kScalar, crypto::Sha256Backend::kSse2,
-                       crypto::Sha256Backend::kAvx2, crypto::Sha256Backend::kShaNi}) {
+                       crypto::Sha256Backend::kAvx2, crypto::Sha256Backend::kShaNi,
+                       crypto::Sha256Backend::kAvx512}) {
     if (!crypto::sha_backend_supported(backend)) continue;
     crypto::force_sha_backend(backend);
     for (auto strategy : {BatchStrategy::kExhaustive, BatchStrategy::kScoped}) {

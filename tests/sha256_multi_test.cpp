@@ -2,12 +2,14 @@
 // properties.
 //
 // The whole design leans on one invariant: every dispatch ladder rung —
-// scalar, SSE2 x4, AVX2 x8, SHA-NI — computes the identical function, so
+// scalar, SSE2 x4, AVX2 x8, SHA-NI, AVX-512 (fused x16 PRF sweep) —
+// computes the identical function, so
 // verdicts, corpus digests and metrics never depend on the CPU. These tests
 // pin that invariant across ragged message lengths (0..3 blocks, including
 // every padding boundary) and ragged batch sizes (1..17, so lanes are
 // under-, exactly- and over-subscribed), plus the batched HMAC/PRF layers
-// and the PRF-cache lane-bypass contract.
+// the fused AVX-512 sweep's id-byte, group-size and truncation edges, and
+// the PRF-cache lane-bypass contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,7 +37,8 @@ using namespace pnm::crypto;
 std::vector<Sha256Backend> supported_backends() {
   std::vector<Sha256Backend> out;
   for (Sha256Backend b : {Sha256Backend::kScalar, Sha256Backend::kSse2,
-                          Sha256Backend::kAvx2, Sha256Backend::kShaNi}) {
+                          Sha256Backend::kAvx2, Sha256Backend::kShaNi,
+                          Sha256Backend::kAvx512}) {
     if (sha_backend_supported(b)) out.push_back(b);
   }
   return out;
@@ -65,6 +68,9 @@ TEST(Sha256MultiTest, ParseBackendNames) {
   EXPECT_EQ(parse_sha_backend("shani"), Sha256Backend::kShaNi);
   EXPECT_EQ(parse_sha_backend("sha-ni"), Sha256Backend::kShaNi);
   EXPECT_EQ(parse_sha_backend("SHA_NI"), Sha256Backend::kShaNi);
+  EXPECT_EQ(parse_sha_backend("avx512"), Sha256Backend::kAvx512);
+  EXPECT_EQ(parse_sha_backend("AVX512"), Sha256Backend::kAvx512);
+  EXPECT_STREQ(sha_backend_name(Sha256Backend::kAvx512), "avx512");
   EXPECT_EQ(parse_sha_backend("neon"), std::nullopt);
   EXPECT_EQ(parse_sha_backend(""), std::nullopt);
 }
@@ -74,6 +80,7 @@ TEST(Sha256MultiTest, BackendLaneWidths) {
   EXPECT_EQ(sha_backend_lanes(Sha256Backend::kShaNi), 1u);
   EXPECT_EQ(sha_backend_lanes(Sha256Backend::kSse2), 4u);
   EXPECT_EQ(sha_backend_lanes(Sha256Backend::kAvx2), 8u);
+  EXPECT_EQ(sha_backend_lanes(Sha256Backend::kAvx512), 16u);
 }
 
 // Every backend must hash ragged batches bit-identically to the serial
@@ -272,6 +279,111 @@ TEST(Sha256MultiTest, AnonIdBatchMultiMixesBlockCountsEveryBackend) {
       }
     }
   }
+}
+
+// The fused AVX-512 sweep ORs the two id bytes into a zeroed template at
+// byte len-2 / len-1 of the 5 + |M| byte message. These lengths put that
+// pair inside one word (56, 64, 120), across a word boundary (21, 119) and
+// across a block boundary (65).
+constexpr std::size_t kFusedReportLens[] = {16, 51, 59, 60, 114, 115};
+constexpr std::size_t kFusedAnonLens[] = {1, 2, 4, 5, 32};
+
+/// One key per 16-bit node id, so sweeps can reach id 65535. Built once.
+const KeyStore& full_id_keys() {
+  static const KeyStore keys(Bytes{0x16, 0x1a, 0x7e}, 65536);
+  return keys;
+}
+
+/// Run one anon_id_batch over `ids` and compare every slot with serial
+/// anon_id through the raw key.
+void expect_sweep_matches_serial(const KeyStore& keys, const Bytes& report,
+                                 const std::vector<NodeId>& ids, std::size_t anon_len) {
+  Bytes out(ids.size() * anon_len);
+  anon_id_batch(keys, report, ids, anon_len, out.data());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(slot(out, i, anon_len),
+              anon_id(keys.key_unchecked(ids[i]), report, ids[i], anon_len))
+        << "report_len=" << report.size() << " anon_len=" << anon_len
+        << " group=" << ids.size() << " i=" << i << " id=" << ids[i];
+  }
+}
+
+// Group sizes 1..33 cover one partial group, exactly 16 (15/16/17 around
+// it), two full groups plus a remainder, and remainders on both sides of
+// the SHA-NI cutoff; ids run across the 255/256 high-byte edge.
+TEST(Sha256MultiTest, FusedSweepIdBytesAndGroupSizesEveryBackend) {
+  Rng rng(1400);
+  const KeyStore& keys = full_id_keys();
+  for (Sha256Backend backend : supported_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    ForcedBackend pin(backend);
+    for (std::size_t report_len : kFusedReportLens) {
+      const Bytes report = random_bytes(rng, report_len);
+      for (std::size_t group = 1; group <= 33; ++group) {
+        std::vector<NodeId> ids;
+        for (std::size_t i = 0; i < group; ++i) ids.push_back(static_cast<NodeId>(240 + i));
+        expect_sweep_matches_serial(keys, report, ids,
+                                    kFusedAnonLens[group % std::size(kFusedAnonLens)]);
+      }
+    }
+  }
+}
+
+// Lanes load arbitrary key rows and ids: descending and scattered ids,
+// including 255, 256 and 65535, at every truncation width.
+TEST(Sha256MultiTest, FusedSweepIdOrderAndHighIdsEveryBackend) {
+  Rng rng(1401);
+  const KeyStore& keys = full_id_keys();
+  std::vector<NodeId> descending;
+  for (std::size_t i = 0; i < 21; ++i) descending.push_back(static_cast<NodeId>(300 - i));
+  std::vector<NodeId> scattered = {65535, 1, 255, 256, 65534, 4097, 37, 512, 511,
+                                   257,   2, 9999, 40000, 254, 65533, 1024, 3, 300};
+  for (Sha256Backend backend : supported_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    ForcedBackend pin(backend);
+    for (std::size_t report_len : kFusedReportLens) {
+      const Bytes report = random_bytes(rng, report_len);
+      for (std::size_t anon_len : kFusedAnonLens) {
+        expect_sweep_matches_serial(keys, report, descending, anon_len);
+        expect_sweep_matches_serial(keys, report, scattered, anon_len);
+      }
+    }
+  }
+}
+
+const obs::HistogramSnapshot& lanes_hist_of(const obs::MetricsSnapshot& snap) {
+  const obs::MetricSample* s = snap.find("crypto_lanes_filled");
+  EXPECT_NE(s, nullptr);
+  static const obs::HistogramSnapshot kEmpty;
+  return s ? s->hist : kEmpty;
+}
+
+// Each fused call meters its filled lanes, so crypto.lanes_mean reports the
+// width that ran; a scoped-probe-sized sweep stays single-lane.
+TEST(Sha256MultiTest, FusedSweepMetersFilledLanes) {
+  if (!sha_backend_supported(Sha256Backend::kAvx512)) GTEST_SKIP() << "no AVX-512";
+  ForcedBackend pin(Sha256Backend::kAvx512);
+  KeyStore keys(Bytes{0x0f}, 64);
+  const Bytes report = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<NodeId> ids;
+  for (std::size_t i = 1; i <= 40; ++i) ids.push_back(static_cast<NodeId>(i));
+
+  // 40 ids = 16 + 16 + 8: three fused calls (a remainder of 8 is worth a
+  // padded call).
+  Bytes out(ids.size() * 2);
+  obs::MetricsSnapshot before = obs::MetricsRegistry::global().scrape();
+  anon_id_batch(keys, report, ids, 2, out.data());
+  obs::MetricsSnapshot after = obs::MetricsRegistry::global().scrape();
+  EXPECT_EQ(lanes_hist_of(after).count - lanes_hist_of(before).count, 3u);
+  EXPECT_EQ(lanes_hist_of(after).sum - lanes_hist_of(before).sum, 40u);
+
+  // Three ids (a scoped ring probe): single-lane, every sample is 1.
+  before = obs::MetricsRegistry::global().scrape();
+  anon_id_batch(keys, report, std::span<const NodeId>(ids.data(), 3), 2, out.data());
+  after = obs::MetricsRegistry::global().scrape();
+  const std::uint64_t samples = lanes_hist_of(after).count - lanes_hist_of(before).count;
+  EXPECT_GT(samples, 0u);
+  EXPECT_EQ(lanes_hist_of(after).sum - lanes_hist_of(before).sum, samples);
 }
 
 // hmac_batch's inner message is padded into scratch and its outer block is

@@ -76,6 +76,21 @@ TEST(OrderGraph, DuplicateAndSelfEdgesIgnored) {
   EXPECT_FALSE(g.reaches(1, 1));
 }
 
+TEST(OrderGraph, ClosureVersionMovesOnlyWithReachability) {
+  OrderGraph g;
+  g.add_order(1, 2);
+  g.add_order(2, 3);
+  const std::uint64_t v = g.closure_version();
+  EXPECT_GT(v, 0u);
+  g.add_order(1, 3);  // new direct edge, already implied
+  g.add_order(1, 2);  // duplicate
+  g.observe(9);       // a node, but no order
+  EXPECT_EQ(g.order_count(), 3u);
+  EXPECT_EQ(g.closure_version(), v);
+  g.add_order(3, 9);  // 1, 2 and 3 now reach 9
+  EXPECT_GT(g.closure_version(), v);
+}
+
 TEST(OrderGraph, ObserveWithoutOrder) {
   OrderGraph g;
   g.observe(9);
@@ -367,6 +382,31 @@ TEST_F(EngineFixture, UnmarkedPacketsCountButTeachNothing) {
   engine.ingest(path_packet(2, {}));
   EXPECT_EQ(engine.packets_ingested(), 2u);
   EXPECT_FALSE(engine.analysis().identified);
+}
+
+// fold() re-analyzes only when a node or a reachability pair is new; the
+// analysis it keeps must equal a fresh analyze_route() after every fold,
+// through implied edges, duplicates and identity-swap loops alike.
+TEST_F(EngineFixture, FoldKeepsAnalysisFresh) {
+  TracebackEngine engine(*scheme_, keys_, topo_);
+  Rng rng(77);
+  for (std::size_t packet = 0; packet < 300; ++packet) {
+    marking::VerifyResult vr;
+    std::vector<NodeId> path = {6, 5, 4, 3, 2, 1};
+    if (rng.next_below(8) == 0) std::swap(path[rng.next_below(5)], path[5]);  // swap loop
+    for (NodeId v : path) {
+      if (rng.next_below(3) == 0) vr.chain.push_back({v, vr.chain.size()});
+    }
+    engine.fold(1, vr);
+    const RouteAnalysis fresh = analyze_route(engine.graph(), topo_);
+    const RouteAnalysis& kept = engine.analysis();
+    ASSERT_EQ(kept.identified, fresh.identified) << "packet " << packet;
+    ASSERT_EQ(kept.via_loop, fresh.via_loop) << "packet " << packet;
+    ASSERT_EQ(kept.stop_node, fresh.stop_node) << "packet " << packet;
+    ASSERT_EQ(kept.suspects, fresh.suspects) << "packet " << packet;
+    ASSERT_EQ(kept.minimal_candidates, fresh.minimal_candidates) << "packet " << packet;
+    ASSERT_EQ(kept.loop, fresh.loop) << "packet " << packet;
+  }
 }
 
 TEST_F(EngineFixture, SinglePacketStopHelper) {

@@ -87,7 +87,7 @@
 //   --metrics-every-ms N       also report a JSON metrics line to stderr
 //                              every N ms while the command runs
 //   --sha-backend B            pin the SHA-256 engine to one dispatch rung
-//                              (scalar|sse2|avx2|shani); same effect as
+//                              (scalar|sse2|avx2|shani|avx512); same as
 //                              PNM_FORCE_SHA_BACKEND, flag wins. Verdicts
 //                              and digests are backend-independent — this
 //                              only changes speed.
@@ -787,7 +787,7 @@ int main(int argc, char** argv) {
                  "replay|trace-stat|serve|loadgen|flight-dump|list> "
                  "[--flag value ...]\n"
                  "       [--metrics-out FILE] [--metrics-format json|prom]\n"
-                 "       [--sha-backend scalar|sse2|avx2|shani]\n"
+                 "       [--sha-backend scalar|sse2|avx2|shani|avx512]\n"
                  "       [--pack-mode packet|cross]\n"
                  "       [--span-trace FILE] [--metrics-every-ms N]\n"
                  "       [--provenance-rate N]\n",
@@ -801,7 +801,7 @@ int main(int argc, char** argv) {
   if (!backend_name.empty()) {
     auto parsed = pnm::crypto::parse_sha_backend(backend_name);
     if (!parsed) {
-      std::fprintf(stderr, "unknown --sha-backend '%s' (scalar|sse2|avx2|shani)\n",
+      std::fprintf(stderr, "unknown --sha-backend '%s' (scalar|sse2|avx2|shani|avx512)\n",
                    backend_name.c_str());
       return 2;
     }

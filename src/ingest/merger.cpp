@@ -1,16 +1,19 @@
 #include "ingest/merger.h"
 
-#include <chrono>
-
 #include "net/wire.h"
 #include "obs/provenance.h"
-#include "obs/span.h"
 
 namespace pnm::ingest {
 
 Bytes fold_fingerprint(const net::Packet& p, const marking::VerifyResult& vr) {
-  ByteWriter w;
-  w.blob16(net::encode_packet(p));
+  const std::size_t wire_size = net::encoded_packet_size(p);
+  Bytes buf;
+  // blob16(wire), delivered_by, chain count, (u16, u32) per chain mark, then
+  // two u32 counts and the truncation flag.
+  buf.reserve(2 + wire_size + 2 + 2 + vr.chain.size() * 6 + 4 + 4 + 1);
+  ByteWriter w(std::move(buf));
+  w.u16(static_cast<std::uint16_t>(wire_size));
+  net::encode_packet_into(w, p);
   w.u16(p.delivered_by);
   w.u16(static_cast<std::uint16_t>(vr.chain.size()));
   for (const marking::VerifiedMark& m : vr.chain) {
@@ -23,31 +26,16 @@ Bytes fold_fingerprint(const net::Packet& p, const marking::VerifyResult& vr) {
   return std::move(w).take();
 }
 
-TracebackMerger::TracebackMerger(sink::TracebackEngine* engine,
-                                 obs::Histogram* merge_us)
-    : engine_(engine), merge_us_(merge_us) {}
+TracebackMerger::TracebackMerger(sink::TracebackEngine* engine) : engine_(engine) {}
 
 void TracebackMerger::submit(std::vector<FoldEntry> entries) {
   if (entries.empty()) return;
-  PNM_SPAN("ingest_merge");
-  std::chrono::steady_clock::time_point t0;
-  if constexpr (obs::kMetricsEnabled) t0 = std::chrono::steady_clock::now();
-
-  std::lock_guard<std::mutex> lock(mu_);
   for (FoldEntry& e : entries) buffer_.push(std::move(e));
   if (buffer_.size() > max_pending_) max_pending_ = buffer_.size();
-  drain_ready_locked();
-
-  if constexpr (obs::kMetricsEnabled) {
-    if (merge_us_) {
-      auto t1 = std::chrono::steady_clock::now();
-      merge_us_->record_us(
-          std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
-  }
+  drain_ready();
 }
 
-void TracebackMerger::drain_ready_locked() {
+void TracebackMerger::drain_ready() {
   // Trace id stamped on an accusation whose trigger record was unsampled:
   // the accusation is the event the whole trace exists to explain, so as
   // long as sampling is on at all it is emitted even for an unsampled
@@ -79,30 +67,10 @@ void TracebackMerger::drain_ready_locked() {
     ++next_seq_;
     buffer_.pop();
   }
-}
-
-std::size_t TracebackMerger::folded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return folded_;
-}
-
-std::uint64_t TracebackMerger::frontier() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_seq_;
-}
-
-std::size_t TracebackMerger::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return buffer_.size();
-}
-
-std::size_t TracebackMerger::max_pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_pending_;
+  frontier_.store(next_seq_, std::memory_order_release);
 }
 
 std::string TracebackMerger::digest_hex() {
-  std::lock_guard<std::mutex> lock(mu_);
   if (digest_hex_.empty()) {
     crypto::Sha256Digest d = digest_.finish();
     digest_hex_ = to_hex(ByteView(d.data(), d.size()));

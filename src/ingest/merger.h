@@ -13,13 +13,21 @@
 // byte-identical for every shard count (tests/ingest_test.cpp submits shard
 // accumulators in randomized completion order and asserts exactly this).
 //
-// The buffer is bounded in practice by upstream backpressure: the producer
-// assigns sequence numbers in push order and blocks on the full queue of the
-// lane that is behind, so lanes can run ahead of the merge frontier by at
-// most their queue capacity plus one in-flight batch each.
+// The merger is single-threaded: one owner calls submit() (the pipeline's
+// merge stage), so there is no lock. Only the frontier is published through
+// an atomic, for the pipeline's quiescence and stall probes on other threads.
+//
+// Buffer bound. An entry waits in the reorder buffer only while a lower seq
+// is still upstream: in a lane queue, a lane batch, or the pipeline's
+// hand-off. A lane reaches any record it holds within its bounded queue plus
+// one in-flight batch, so the buffer holds at most what the other lanes
+// verify in that window — lane skew, as when lanes merged inline (the
+// `merge_max_pending` statistic tracks it). The pipeline's hand-off in
+// front of the merger is bounded separately: a lane that finds more than one
+// batch per lane waiting there blocks until the merge stage swaps it out.
 #pragma once
 
-#include <mutex>
+#include <atomic>
 #include <queue>
 #include <string>
 #include <vector>
@@ -27,7 +35,6 @@
 #include "crypto/sha256.h"
 #include "marking/scheme.h"
 #include "net/report.h"
-#include "obs/metrics.h"
 #include "sink/traceback.h"
 
 namespace pnm::ingest {
@@ -52,25 +59,24 @@ Bytes fold_fingerprint(const net::Packet& p, const marking::VerifyResult& vr);
 
 class TracebackMerger {
  public:
-  /// `engine` may be null (pure throughput runs — digest only). `merge_us`
-  /// optionally receives one latency sample per draining submit.
-  explicit TracebackMerger(sink::TracebackEngine* engine,
-                           obs::Histogram* merge_us = nullptr);
+  /// `engine` may be null (pure throughput runs — digest only).
+  explicit TracebackMerger(sink::TracebackEngine* engine);
 
-  /// Thread-safe. Entries may arrive in any order across calls and within a
+  /// Single owner. Entries may arrive in any order across calls and within a
   /// call; every sequence number must eventually be submitted exactly once.
   void submit(std::vector<FoldEntry> entries);
 
   /// Entries applied to the digest/engine so far.
-  std::size_t folded() const;
+  std::size_t folded() const { return folded_; }
   /// Next sequence number the merge is waiting for. Equal to the producer's
   /// issued-seq count exactly when every in-flight record has been verified
   /// and applied — the pipeline's quiescence test (live re-keying barrier).
-  std::uint64_t frontier() const;
+  /// Safe from any thread; never waits on a fold.
+  std::uint64_t frontier() const { return frontier_.load(std::memory_order_acquire); }
   /// Entries currently buffered ahead of the merge frontier.
-  std::size_t pending() const;
+  std::size_t pending() const { return buffer_.size(); }
   /// Deepest the reorder buffer ever got (the lane-skew telemetry).
-  std::size_t max_pending() const;
+  std::size_t max_pending() const { return max_pending_; }
 
   /// Hex SHA-256 over every applied fingerprint in sequence order.
   /// Finalizes on first call (idempotent afterwards); call once lanes quit.
@@ -83,16 +89,15 @@ class TracebackMerger {
     }
   };
 
-  void drain_ready_locked();
+  void drain_ready();
 
-  mutable std::mutex mu_;
   std::priority_queue<FoldEntry, std::vector<FoldEntry>, SeqAfter> buffer_;
   std::uint64_t next_seq_ = 0;
+  std::atomic<std::uint64_t> frontier_{0};  ///< next_seq_, published
   std::size_t folded_ = 0;
   std::size_t max_pending_ = 0;
   bool accused_ = false;  ///< latch: the engine's first identified transition
   sink::TracebackEngine* engine_;
-  obs::Histogram* merge_us_;
   crypto::Sha256 digest_;
   std::string digest_hex_;
 };

@@ -33,7 +33,8 @@ Pipeline::Pipeline(sink::BatchVerifier& verifier, sink::TracebackEngine* traceba
       batch_fold_us_(&counters_->registry().histogram("ingest_batch_fold_us")),
       shard_imbalance_ppm_(
           &counters_->registry().histogram("ingest_shard_imbalance_ppm")),
-      merger_(traceback, &counters_->registry().histogram("ingest_merge_us")) {
+      merge_us_(&counters_->registry().histogram("ingest_merge_us")),
+      merger_(traceback) {
   cfg_.shards = 1;
   init_lanes();
 }
@@ -49,7 +50,8 @@ Pipeline::Pipeline(sink::VerifierBank& bank, sink::TracebackEngine* traceback,
       batch_fold_us_(&counters_->registry().histogram("ingest_batch_fold_us")),
       shard_imbalance_ppm_(
           &counters_->registry().histogram("ingest_shard_imbalance_ppm")),
-      merger_(traceback, &counters_->registry().histogram("ingest_merge_us")) {
+      merge_us_(&counters_->registry().histogram("ingest_merge_us")),
+      merger_(traceback) {
   cfg_.shards = router_.shards();
   lanes_.reserve(cfg_.shards);
   for (std::size_t i = 0; i < cfg_.shards; ++i) lanes_.push_back(&bank.lane(i));
@@ -110,8 +112,42 @@ bool Pipeline::push(net::Packet&& p, double time_s, std::shared_ptr<StreamSink> 
   tomb[0].seq = seq;
   tomb[0].trace_id = trace_id;
   tomb[0].dropped = true;
-  merger_.submit(std::move(tomb));
+  hand_off(std::move(tomb));
   return false;
+}
+
+void Pipeline::hand_off(std::vector<FoldEntry> entries) {
+  {
+    std::lock_guard<std::mutex> lock(handoff_mu_);
+    if (!merge_exited_) {
+      inbox_entries_ += entries.size();
+      inbox_.push_back(std::move(entries));
+    } else {
+      // Only a tombstone can arrive once the merge stage has exited (every
+      // lane joined first): a push that lost the race with close() after
+      // run() drained. Advancing the frontier past it is all that is left,
+      // and this lock is the merger's only owner now.
+      if (!error_) merger_.submit(std::move(entries));
+      return;
+    }
+  }
+  handoff_cv_.notify_one();
+}
+
+void Pipeline::hand_off_batch(std::vector<FoldEntry> entries) {
+  // The inbox's bound: a lane that finds more than one batch per lane
+  // waiting for the merge stage waits for the next swap, so a starved merge
+  // thread throttles the lanes instead of buffering the stream.
+  const std::size_t limit = lanes_.size() * cfg_.batch_size;
+  std::unique_lock<std::mutex> lock(handoff_mu_);
+  inbox_entries_ += entries.size();
+  inbox_.push_back(std::move(entries));
+  const bool full = inbox_entries_ > limit;
+  lock.unlock();
+  handoff_cv_.notify_one();
+  if (!full) return;
+  lock.lock();
+  swapped_cv_.wait(lock, [this, limit] { return inbox_entries_ <= limit; });
 }
 
 void Pipeline::close() {
@@ -211,7 +247,7 @@ void Pipeline::run_lane(std::size_t lane) {
       }
 
       // Pre-serialize each record's digest contribution here, in parallel
-      // across lanes; the merger applies them in global sequence order.
+      // across lanes; the merge stage applies them in global sequence order.
       std::vector<FoldEntry> entries;
       entries.reserve(batch.size());
       for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -234,7 +270,7 @@ void Pipeline::run_lane(std::size_t lane) {
       }
       lane_records_[lane] += batch.size();
       counters_->add(util::Metric::kIngestRecords, batch.size());
-      merger_.submit(std::move(entries));
+      hand_off_batch(std::move(entries));
 
       if constexpr (obs::kMetricsEnabled) {
         auto t1 = std::chrono::steady_clock::now();
@@ -246,37 +282,102 @@ void Pipeline::run_lane(std::size_t lane) {
   }
 }
 
+void Pipeline::fail(std::exception_ptr error) {
+  // A failed stage stops the run: close the queues so producers and the
+  // other lanes unblock, and let the merge stage stop waiting for seqs that
+  // will never be verified.
+  close();
+  std::lock_guard<std::mutex> lock(handoff_mu_);
+  if (!error_) error_ = error;
+}
+
+void Pipeline::run_merge() {
+  PNM_SPAN("pipeline_merge");
+  std::vector<std::vector<FoldEntry>> work;
+  std::unique_lock<std::mutex> lock(handoff_mu_);
+  for (;;) {
+    // Drained: every lane has joined, so nothing but a tombstone can still
+    // arrive, and the frontier has caught up with every seq issued. A push
+    // that raced close() took its seq before this check could see it and
+    // hands in its tombstone next, so it is waited for here.
+    handoff_cv_.wait(lock, [this] {
+      return !inbox_.empty() ||
+             (lanes_running_ == 0 && (error_ || merger_.frontier() == seqs_issued()));
+    });
+    if (inbox_.empty()) break;
+    work.swap(inbox_);
+    inbox_entries_ = 0;
+    const bool discard = error_ != nullptr;
+    lock.unlock();
+    swapped_cv_.notify_all();
+    if (!discard) {
+      try {
+        PNM_SPAN("ingest_merge");
+        std::chrono::steady_clock::time_point t0;
+        if constexpr (obs::kMetricsEnabled) t0 = std::chrono::steady_clock::now();
+        for (std::vector<FoldEntry>& batch : work) merger_.submit(std::move(batch));
+        if constexpr (obs::kMetricsEnabled) {
+          auto t1 = std::chrono::steady_clock::now();
+          merge_us_->record_us(
+              std::chrono::duration<double, std::micro>(t1 - t0).count());
+        }
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+    work.clear();
+    lock.lock();
+  }
+  merge_exited_ = true;
+}
+
 void Pipeline::run() {
   PNM_SPAN("pipeline_run");
   auto t0 = std::chrono::steady_clock::now();
 
   std::size_t n = lanes_.size();
-  std::exception_ptr lane_error;
-  std::mutex error_mu;
+  {
+    std::lock_guard<std::mutex> lock(handoff_mu_);
+    lanes_running_ = n;
+  }
+  // Every lane is counted out once, whether it ran, failed or never
+  // started; the merge stage drains until none is left.
+  auto lane_done = [this] {
+    {
+      std::lock_guard<std::mutex> lock(handoff_mu_);
+      --lanes_running_;
+    }
+    handoff_cv_.notify_one();
+  };
+  auto lane_body = [this, &lane_done](std::size_t lane) {
+    try {
+      run_lane(lane);
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    lane_done();
+  };
+
   std::vector<std::thread> extra;
   extra.reserve(n > 0 ? n - 1 : 0);
+  std::thread merge([this] { run_merge(); });
   for (std::size_t lane = 1; lane < n; ++lane) {
-    extra.emplace_back([this, lane, &lane_error, &error_mu] {
-      try {
-        run_lane(lane);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!lane_error) lane_error = std::current_exception();
-        // A dead lane can never drain its queue; unblock producers and the
-        // sibling lanes so run() can surface the error instead of hanging.
-        close();
-      }
-    });
+    try {
+      extra.emplace_back(lane_body, lane);
+    } catch (...) {  // the lane's thread could not start
+      fail(std::current_exception());
+      lane_done();
+    }
   }
-  try {
-    run_lane(0);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(error_mu);
-    if (!lane_error) lane_error = std::current_exception();
-    close();
-  }
+  lane_body(0);
   for (auto& t : extra) t.join();
-  if (lane_error) std::rethrow_exception(lane_error);
+  merge.join();
+  {
+    // A late tombstone may touch the merger under this lock (hand_off).
+    std::lock_guard<std::mutex> lock(handoff_mu_);
+    if (error_) std::rethrow_exception(error_);
+    stats_.merge_max_pending = merger_.max_pending();
+  }
 
   auto t1 = std::chrono::steady_clock::now();
   stats_.records = 0;
@@ -286,7 +387,6 @@ void Pipeline::run() {
     if (r > max_lane) max_lane = r;
   }
   stats_.shard_records = lane_records_;
-  stats_.merge_max_pending = merger_.max_pending();
   stats_.elapsed_s += std::chrono::duration<double>(t1 - t0).count();
   stats_.records_per_s =
       stats_.elapsed_s > 0.0 ? static_cast<double>(stats_.records) / stats_.elapsed_s

@@ -1,10 +1,10 @@
 // Streaming ingest pipeline: the sink's intake lane, sharded by flow.
 //
-//   producer(s)         shard lanes (N threads)          deterministic merge
+//   producer(s)         shard lanes (N threads)       merge stage (1 thread)
 //   TraceReader /   ┌→ queue₀ → decode batch → verify₀ ─┐
-//   live tap ──route┤→ queue₁ → decode batch → verify₁ ─┼→ TracebackMerger
-//    (seq, flow)    └→ queueₙ → decode batch → verifyₙ ─┘   (reorder by seq)
-//                                                            → digest + fold
+//   live tap ──route┤→ queue₁ → decode batch → verify₁ ─┼→ hand-off → TracebackMerger
+//    (seq, flow)    └→ queueₙ → decode batch → verifyₙ ─┘  (inbox)   (reorder by seq)
+//                                                                    → digest + fold
 //
 // Producers push decoded packets into per-flow-sharded bounded queues: the
 // ShardRouter hashes each record's flow identity (claimed origin location +
@@ -12,27 +12,36 @@
 // sequence number. Each lane independently drains FIFO batches through its
 // own sink::BatchVerifier handle (private PrfCache — flow affinity keeps a
 // flow's PRF probes hot in one cache) and pre-serializes each record's
-// digest fingerprint; the TracebackMerger then applies entries strictly in
-// sequence order, so the SHA-256 verdict digest and the TracebackEngine
-// state are byte-identical to the single-consumer serial pipeline for every
-// shard count, batch size and lane interleaving (tests/ingest_test.cpp and
-// the CI determinism matrix assert this across shards {1,2,8}).
+// digest fingerprint, then appends the whole batch to the hand-off under a
+// short lock and goes back to verifying (it waits only when more than one
+// batch per lane is already waiting to be merged). Lanes only verify: one
+// merge thread swaps the whole hand-off inbox out and feeds it to the
+// TracebackMerger, which applies entries strictly in sequence order, so the
+// SHA-256 verdict digest and the TracebackEngine state are byte-identical to
+// the single-consumer serial pipeline for every shard count, batch size and
+// lane interleaving (tests/ingest_test.cpp and the CI determinism matrix
+// assert this across shards {1,2,8}).
 //
-// With cfg.shards == 1 the pipeline degenerates to the original shape: one
-// queue, the consumer on the calling thread, no extra threads spawned.
+// Every shard count has the same shape. run() runs lane 0 on the calling
+// thread and spawns lanes 1..N-1 plus the merge thread, so cfg.shards == 1
+// is one verifying thread and one merging thread. Nothing is spawned before
+// run().
 //
 // Observability: per-shard `ingest_queue_depth_shard<i>` gauges plus the
 // aggregate `ingest_queue_depth` (sampled per drain), the
-// `ingest_batch_fold_us` histogram (verify + entry build per batch), an
-// `ingest_shard_imbalance_ppm` histogram (how far the busiest lane ran over
-// an even split, recorded once per run), an `ingest_merge_us` histogram and
-// an `ingest_merge` span for the merge step, and PNM_SPAN scopes around the
-// run and each lane for --span-trace.
+// `ingest_batch_fold_us` histogram (verify + entry build + hand-off per lane
+// batch), an `ingest_shard_imbalance_ppm` histogram (how far the busiest lane
+// ran over an even split, recorded once per run), an `ingest_merge_us`
+// histogram and an `ingest_merge` span per merge step, and PNM_SPAN scopes
+// around the run, each lane and the merge stage for --span-trace.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -160,8 +169,11 @@ class Pipeline {
   // ---- consumer side (call run() from exactly one thread) ----
 
   /// Drain until closed and empty: lane 0 runs on the calling thread,
-  /// lanes 1..N-1 on spawned threads, verdicts merged in arrival order.
-  /// Populates stats()/verdict_digest(). Lane exceptions rethrow here.
+  /// lanes 1..N-1 and the merge stage on spawned threads, verdicts merged in
+  /// arrival order. Returns once every lane has joined and the merge
+  /// frontier has reached seqs_issued() (a push racing close() still gets
+  /// its tombstone applied). Populates stats()/verdict_digest(). Lane and
+  /// merge exceptions rethrow here.
   void run();
 
   /// Convenience: spawns a producer thread that streams `reader` (decoding
@@ -187,6 +199,14 @@ class Pipeline {
 
   void init_lanes();
   void run_lane(std::size_t lane);
+  void run_merge();
+  /// Multi-producer side of the merge stage. hand_off never blocks (a
+  /// tombstone from a producer); hand_off_batch is a lane's, and waits for
+  /// the next swap while the inbox is over its bound.
+  void hand_off(std::vector<FoldEntry> entries);
+  void hand_off_batch(std::vector<FoldEntry> entries);
+  /// Record the first stage failure and close the queues.
+  void fail(std::exception_ptr error);
   void sample_queue_depths(std::size_t lane);
 
   std::vector<sink::BatchVerifier*> lanes_;
@@ -199,7 +219,18 @@ class Pipeline {
   std::vector<obs::Gauge*> lane_depth_;   ///< ingest_queue_depth_shard<i>
   obs::Histogram* batch_fold_us_;         ///< ingest_batch_fold_us
   obs::Histogram* shard_imbalance_ppm_;   ///< ingest_shard_imbalance_ppm
-  TracebackMerger merger_;
+  obs::Histogram* merge_us_;              ///< ingest_merge_us, per merge step
+  TracebackMerger merger_;  ///< driven only by run_merge() (then hand_off)
+  // The hand-off: lanes and late tombstones append, the merge stage swaps
+  // the whole inbox out. Everything below is guarded by handoff_mu_.
+  std::mutex handoff_mu_;
+  std::condition_variable handoff_cv_;  ///< wakes the merge stage
+  std::condition_variable swapped_cv_;  ///< wakes lanes waiting on the bound
+  std::vector<std::vector<FoldEntry>> inbox_;
+  std::size_t inbox_entries_ = 0;  ///< entries across inbox_'s batches
+  std::size_t lanes_running_ = 0;
+  bool merge_exited_ = false;
+  std::exception_ptr error_;  ///< first lane/merge failure of the run
   std::vector<std::unique_ptr<BoundedQueue<Item>>> queues_;
   std::vector<std::size_t> lane_records_;  ///< written only by the owning lane
   std::atomic<std::uint64_t> next_seq_{0};

@@ -2,14 +2,26 @@
 
 namespace pnm::net {
 
-Bytes encode_packet(const Packet& p) {
-  ByteWriter w;
+void encode_packet_into(ByteWriter& w, const Packet& p) {
   w.blob16(p.report);
   w.u8(static_cast<std::uint8_t>(p.marks.size()));
   for (const Mark& m : p.marks) {
     w.blob16(m.id_field);
     w.blob16(m.mac);
   }
+}
+
+std::size_t encoded_packet_size(const Packet& p) {
+  std::size_t n = 2 + p.report.size() + 1;
+  for (const Mark& m : p.marks) n += 2 + m.id_field.size() + 2 + m.mac.size();
+  return n;
+}
+
+Bytes encode_packet(const Packet& p) {
+  Bytes buf;
+  buf.reserve(encoded_packet_size(p));
+  ByteWriter w(std::move(buf));
+  encode_packet_into(w, p);
   return std::move(w).take();
 }
 

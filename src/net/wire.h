@@ -30,6 +30,13 @@ inline constexpr std::size_t kMaxReportBytes = 4096;
 /// Serialize the wire image (ground-truth fields are not serialized).
 Bytes encode_packet(const Packet& p);
 
+/// Append the wire image to `w` — the one encoder; encode_packet and the
+/// ingest digest fingerprint both write through it.
+void encode_packet_into(ByteWriter& w, const Packet& p);
+
+/// Length of the wire image in bytes, without building it.
+std::size_t encoded_packet_size(const Packet& p);
+
 /// Parse a wire image. Returns nullopt for any malformed input: truncation,
 /// overrunning length frames, oversized fields, trailing garbage.
 std::optional<Packet> decode_packet(ByteView wire);

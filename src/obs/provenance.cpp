@@ -139,15 +139,49 @@ void ProvenanceCollector::set_ring_capacity(std::size_t events) {
   ring_capacity_.store(events, std::memory_order_relaxed);
 }
 
-ProvenanceCollector::Ring& ProvenanceCollector::ring_for_thread() {
-  thread_local Ring* tls_ring = nullptr;
-  if (!tls_ring) {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings_.push_back(
-        std::make_unique<Ring>(ring_capacity_.load(std::memory_order_relaxed)));
-    tls_ring = rings_.back().get();
+/// A thread's hold on its ring; hands the ring back when the thread exits.
+struct ProvenanceCollector::RingLease {
+  RingLease() = default;
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+  ~RingLease() {
+    if (ring) owner->release_ring(ring);
   }
-  return *tls_ring;
+
+  ProvenanceCollector* owner = nullptr;
+  Ring* ring = nullptr;
+};
+
+ProvenanceCollector::Ring& ProvenanceCollector::ring_for_thread() {
+  thread_local RingLease lease;
+  if (!lease.ring) {
+    lease.owner = this;
+    lease.ring = lease_ring();
+  }
+  return *lease.ring;
+}
+
+ProvenanceCollector::Ring* ProvenanceCollector::lease_ring() {
+  const std::size_t capacity = ring_capacity_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(rings_mu_);
+  for (auto it = free_rings_.rbegin(); it != free_rings_.rend(); ++it) {
+    if ((*it)->cap != capacity) continue;
+    Ring* ring = *it;
+    free_rings_.erase(std::next(it).base());
+    return ring;
+  }
+  rings_.push_back(std::make_unique<Ring>(capacity));
+  return rings_.back().get();
+}
+
+void ProvenanceCollector::release_ring(Ring* ring) {
+  std::lock_guard<std::mutex> lock(rings_mu_);
+  free_rings_.push_back(ring);
+}
+
+std::size_t ProvenanceCollector::ring_count() const {
+  std::lock_guard<std::mutex> lock(rings_mu_);
+  return rings_.size();
 }
 
 void ProvenanceCollector::emit(const ProvEvent& e) {

@@ -16,7 +16,14 @@
 //   * Rings are per-thread and lock-free: the owning thread is the only
 //     writer (single-writer seqlock slots, every field a relaxed atomic, so
 //     concurrent scrapes are TSan-clean and never torn); a mutex is taken
-//     only when a thread registers its ring, once per thread.
+//     only when a thread leases a ring and when it hands it back.
+//   * Ring lifetime: a thread leases a ring on its first emit and returns it
+//     to a free list when it exits (a thread_local lease); the next thread
+//     to emit adopts a free ring of the current capacity before allocating
+//     one. Rings are never freed and keep their events across owners, so
+//     snapshot() and the exports see every retained event, and the ring
+//     count is bounded by peak concurrent emitters, not by every thread a
+//     long-lived process ever started.
 //   * Two exports: a *canonical* JSONL restricted to deterministic stages
 //     and fields (trace_id, arrival seq, verdict facts, sorted by seq) that
 //     is byte-identical across shard/thread configurations — the CI
@@ -117,8 +124,14 @@ class ProvenanceCollector {
   }
 
   /// Per-thread ring capacity for rings created after this call (power of
-  /// two, default 4096). Set once at startup, before the first emit.
+  /// two, default 4096). Set once at startup, before the first emit. A
+  /// thread only adopts a free ring of the capacity current at its first
+  /// emit.
   void set_ring_capacity(std::size_t events);
+
+  /// Rings allocated so far, leased or free. With one ring capacity in use
+  /// this is the peak number of threads that held a ring at once.
+  std::size_t ring_count() const;
 
   void emit(const ProvEvent& e);
 
@@ -147,12 +160,16 @@ class ProvenanceCollector {
 
  private:
   struct Ring;
+  struct RingLease;
   Ring& ring_for_thread();
+  Ring* lease_ring();
+  void release_ring(Ring* ring);
 
   std::atomic<std::uint32_t> rate_{64};
   std::atomic<std::size_t> ring_capacity_{4096};
   mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  std::vector<std::unique_ptr<Ring>> rings_;  ///< every ring, in lease order
+  std::vector<Ring*> free_rings_;             ///< rings of exited threads
   std::atomic<Counter*> sampled_counter_{nullptr};
   std::atomic<Counter*> dropped_counter_{nullptr};
   std::atomic<Gauge*> rate_gauge_{nullptr};

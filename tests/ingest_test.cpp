@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "ingest/stream_digest.h"
 #include "net/report.h"
 #include "net/wire.h"
+#include "obs/provenance.h"
 #include "sink/order_matrix.h"
 #include "sink/traceback.h"
 #include "trace/reader.h"
@@ -711,6 +713,105 @@ TEST(Pipeline, ShardGaugeLifecycleAcrossRestarts) {
   stack.pipeline.run_from_trace(reader);
   EXPECT_EQ(stack.pipeline.stats().shards, 1u);
   EXPECT_FALSE(counters.registry().exported("ingest_queue_depth_shard1"));
+}
+
+// ---------------------------------------------------------------------------
+// The merge stage: lanes only verify, one thread folds.
+
+const std::string kCorpusTrace = std::string(PNM_CORPUS_DIR) + "/mark-removal.pnmtrace";
+
+TEST(MergeStage, LanesNeverFold) {
+  auto& pc = obs::ProvenanceCollector::global();
+  std::uint32_t prior = pc.sample_rate();
+  pc.set_sample_rate(1);
+  pc.clear();
+  ingest::ReplayOptions opts;
+  opts.shards = 2;
+  ingest::ReplayResult r = ingest::replay_file(kCorpusTrace, opts);
+  ASSERT_TRUE(r.ok) << r.error;
+
+  std::set<std::uint32_t> merge_tids, verify_tids;
+  std::size_t folds = 0;
+  for (const obs::ProvEvent& e : pc.snapshot()) {
+    if (e.stage == obs::ProvStage::kMerge || e.stage == obs::ProvStage::kFold)
+      merge_tids.insert(e.tid);
+    if (e.stage == obs::ProvStage::kFold) ++folds;
+    if (e.stage == obs::ProvStage::kVerify) verify_tids.insert(e.tid);
+  }
+  EXPECT_EQ(folds, r.stats.records);
+  ASSERT_EQ(merge_tids.size(), 1u);
+  ASSERT_FALSE(verify_tids.empty());
+  EXPECT_EQ(verify_tids.count(*merge_tids.begin()), 0u);
+
+  pc.clear();
+  pc.set_sample_rate(prior);
+}
+
+TEST(MergeStage, PushRacingCloseStillReachesTheFrontier) {
+  // Producers keep pushing while close() lands: every push that lost the race
+  // took a seq and must be tombstoned, so once run() returns (and the
+  // producers have seen their rejection) nothing is left in flight.
+  std::vector<net::Packet> packets;
+  {
+    trace::TraceReader reader(kCorpusTrace);
+    ASSERT_TRUE(reader.valid());
+    while (auto outcome = reader.next()) {
+      if (outcome->status != trace::ReadStatus::kRecord) continue;
+      auto packet = net::decode_packet(outcome->record.wire);
+      ASSERT_TRUE(packet);
+      packet->delivered_by = outcome->record.delivered_by;
+      packets.push_back(std::move(*packet));
+    }
+  }
+  ASSERT_FALSE(packets.empty());
+
+  for (int round = 0; round < 8; ++round) {
+    util::Counters counters;
+    ingest::PipelineConfig pcfg;
+    pcfg.queue_capacity = 4;  // producers block on backpressure mid-race
+    pcfg.batch_size = 2;
+    LiveStack stack(counters, 2, pcfg);
+    std::thread runner([&] { stack.pipeline.run(); });
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 3; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t i = static_cast<std::size_t>(p);; ++i) {
+          net::Packet copy = packets[i % packets.size()];
+          if (!stack.pipeline.push(std::move(copy), 0.0)) return;
+        }
+      });
+    }
+    while (stack.pipeline.seqs_issued() < 64 + 16 * static_cast<std::uint64_t>(round))
+      std::this_thread::yield();
+    stack.pipeline.close();
+    runner.join();
+    for (auto& t : producers) t.join();
+    EXPECT_EQ(stack.pipeline.merge_frontier(), stack.pipeline.seqs_issued())
+        << "round " << round;
+    EXPECT_TRUE(stack.pipeline.quiescent());
+    EXPECT_LT(stack.pipeline.stats().records, stack.pipeline.seqs_issued());
+  }
+}
+
+TEST(MergeStage, RepeatedReplaysKeepTheRingCountFlat) {
+  // Each replay starts a producer, lane 1 and the merge thread (lane 0 runs
+  // here), all of which emit at rate 1. Their rings go back to the free
+  // list as they exit, so the count stays at the peak of concurrent
+  // emitters however many replays run.
+  constexpr std::size_t kEmittersPerReplay = 4;
+  auto& pc = obs::ProvenanceCollector::global();
+  std::uint32_t prior = pc.sample_rate();
+  pc.set_sample_rate(1);
+  const std::size_t rings0 = pc.ring_count();
+  ingest::ReplayOptions opts;
+  opts.shards = 2;
+  for (int i = 0; i < 32; ++i) {
+    pc.clear();
+    ASSERT_TRUE(ingest::replay_file(kCorpusTrace, opts).ok);
+    EXPECT_LE(pc.ring_count(), rings0 + kEmittersPerReplay) << "replay " << i;
+  }
+  pc.clear();
+  pc.set_sample_rate(prior);
 }
 
 }  // namespace

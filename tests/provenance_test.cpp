@@ -147,6 +147,38 @@ TEST(ProvenanceTest, RingWraparoundCountsDrops) {
   pc.set_sample_rate(prior);
 }
 
+TEST(ProvenanceTest, ShortLivedThreadsRecycleRingsAndKeepTheirEvents) {
+  // A daemon's session threads come and go; each exiting thread hands its
+  // ring back, so the ring count stays at the peak of concurrent emitters
+  // while every event the exited threads wrote stays in the snapshot.
+  auto& pc = obs::ProvenanceCollector::global();
+  std::uint32_t prior = pc.sample_rate();
+  pc.set_sample_rate(1);
+  pc.clear();
+  const std::size_t rings0 = pc.ring_count();
+
+  constexpr std::uint64_t kThreads = 64;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    std::thread worker(
+        [t] { obs::prov_emit(0x2000 + t, t, obs::ProvStage::kDecode, t, 0); });
+    worker.join();
+  }
+  EXPECT_LE(pc.ring_count(), rings0 + 1);
+
+  std::set<std::uint64_t> ids;
+  std::set<std::uint32_t> tids;
+  for (const obs::ProvEvent& e : pc.snapshot()) {
+    if (e.trace_id < 0x2000 || e.trace_id >= 0x2000 + kThreads) continue;
+    ids.insert(e.trace_id);
+    tids.insert(e.tid);
+  }
+  EXPECT_EQ(ids.size(), kThreads);
+  EXPECT_EQ(tids.size(), kThreads);  // a shared ring still stamps each writer
+
+  pc.clear();
+  pc.set_sample_rate(prior);
+}
+
 TEST(ProvenanceTest, EmitStampsThreadAndTimeAndSnapshotOrdersByTimestamp) {
   auto& pc = obs::ProvenanceCollector::global();
   std::uint32_t prior = pc.sample_rate();

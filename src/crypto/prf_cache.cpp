@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/anon_id.h"
 #include "crypto/sha256.h"
 
 namespace pnm::crypto {
@@ -39,93 +38,42 @@ std::uint64_t PrfCache::report_key(ByteView report) {
   return k;
 }
 
-Bytes PrfCache::get_or_compute(std::uint64_t report_key, NodeId node, ByteView node_key,
-                               ByteView report, std::size_t anon_len,
-                               util::Counters* counters) {
-  std::uint64_t key = entry_key(report_key, node, anon_len);
-  Shard& shard = *shards_[key % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      if (counters) counters->add(util::Metric::kCacheHits);
-      return it->second;
-    }
+PrfCache::Shard& PrfCache::shard_of(std::uint64_t report_key) const {
+  return *shards_[mix64(report_key) % shards_.size()];
+}
+
+std::size_t PrfCache::lookup(std::uint64_t report_key, std::span<const NodeId> nodes,
+                             std::size_t anon_len, std::uint8_t* out,
+                             std::uint8_t* hit) const {
+  const Shard& shard = shard_of(report_key);
+  std::size_t hits = 0;
+  std::lock_guard<std::mutex> lock(shard.mu);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    auto it = shard.map.find(entry_key(report_key, nodes[i], anon_len));
+    hit[i] = it != shard.map.end() ? 1 : 0;
+    if (!hit[i]) continue;
+    if (anon_len != 0) std::memcpy(out + i * anon_len, it->second.data(), anon_len);
+    ++hits;
   }
-  // Compute outside the shard lock: the PRF is the expensive part, and two
-  // threads racing on the same key just write the same value twice.
-  if (counters) {
-    counters->add(util::Metric::kCacheMisses);
-    counters->add(util::Metric::kPrfEvals);
-  }
-  Bytes anon = anon_id(node_key, report, node, anon_len);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
+  return hits;
+}
+
+void PrfCache::insert(std::uint64_t report_key, std::span<const NodeId> nodes,
+                      std::size_t anon_len, const std::uint8_t* values) {
+  Shard& shard = shard_of(report_key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (shard.map.size() >= max_entries_per_shard_) {
       if (entries_gauge_)
         entries_gauge_->add(-static_cast<std::int64_t>(shard.map.size()));
       shard.map.clear();
     }
-    if (shard.map.emplace(key, anon).second && entries_gauge_) entries_gauge_->add(1);
+    const std::uint8_t* v = values + i * anon_len;
+    if (shard.map.try_emplace(entry_key(report_key, nodes[i], anon_len), v, v + anon_len)
+            .second &&
+        entries_gauge_)
+      entries_gauge_->add(1);
   }
-  return anon;
-}
-
-Bytes PrfCache::get_or_compute(std::uint64_t report_key, NodeId node,
-                               const HmacKey& node_key, ByteView report,
-                               std::size_t anon_len, util::Counters* counters) {
-  std::uint64_t key = entry_key(report_key, node, anon_len);
-  Shard& shard = *shards_[key % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      if (counters) counters->add(util::Metric::kCacheHits);
-      return it->second;
-    }
-  }
-  // Compute outside the shard lock: the PRF is the expensive part, and two
-  // threads racing on the same key just write the same value twice.
-  if (counters) {
-    counters->add(util::Metric::kCacheMisses);
-    counters->add(util::Metric::kPrfEvals);
-  }
-  Bytes anon = anon_id(node_key, report, node, anon_len);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.size() >= max_entries_per_shard_) {
-      if (entries_gauge_)
-        entries_gauge_->add(-static_cast<std::int64_t>(shard.map.size()));
-      shard.map.clear();
-    }
-    if (shard.map.emplace(key, anon).second && entries_gauge_) entries_gauge_->add(1);
-  }
-  return anon;
-}
-
-bool PrfCache::try_get(std::uint64_t report_key, NodeId node, std::size_t anon_len,
-                       Bytes* out) const {
-  std::uint64_t key = entry_key(report_key, node, anon_len);
-  const Shard& shard = *shards_[key % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  if (out) *out = it->second;
-  return true;
-}
-
-void PrfCache::insert(std::uint64_t report_key, NodeId node, std::size_t anon_len,
-                      ByteView anon) {
-  std::uint64_t key = entry_key(report_key, node, anon_len);
-  Shard& shard = *shards_[key % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= max_entries_per_shard_) {
-    if (entries_gauge_)
-      entries_gauge_->add(-static_cast<std::int64_t>(shard.map.size()));
-    shard.map.clear();
-  }
-  if (shard.map.emplace(key, Bytes(anon.begin(), anon.end())).second && entries_gauge_)
-    entries_gauge_->add(1);
 }
 
 std::size_t PrfCache::size() const {

@@ -5,21 +5,22 @@
 // recomputes up to m identical PRFs per candidate — and a batch re-verifying
 // replayed or duplicate-report traffic recomputes whole tables. This cache
 // memoizes i' = H'_{k_i}(M | i) keyed by (node, message-digest). Shards are
-// independently locked so thread-pool workers rarely contend; a shard that
-// reaches its entry cap is flushed wholesale (epoch eviction) to bound
-// memory without LRU bookkeeping on the hot path.
+// chosen by report, so every entry of one report lives in one shard and a
+// whole ring of candidates resolves under one lock; distinct reports spread
+// over independently locked shards so verifier threads rarely contend. A
+// shard that reaches its entry cap is flushed wholesale (epoch eviction) to
+// bound memory without LRU bookkeeping on the hot path.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "crypto/hmac.h"
 #include "obs/metrics.h"
 #include "util/bytes.h"
-#include "util/counters.h"
 #include "util/ids.h"
 
 namespace pnm::crypto {
@@ -30,38 +31,28 @@ class PrfCache {
 
   /// Keep `gauge` equal to the live entry count (+1 per insert, bulk
   /// subtract on epoch flush / clear). Hit *ratio* is derived downstream
-  /// from the kCacheHits / kCacheMisses counters this cache already meters.
+  /// from the kCacheHits / kCacheMisses counters the verifiers meter.
   void bind_entries_gauge(obs::Gauge* gauge) { entries_gauge_ = gauge; }
 
   /// Stable 64-bit digest of a report; compute once per packet and pass to
-  /// every get_or_compute call for that packet.
+  /// every lookup/insert for that packet.
   static std::uint64_t report_key(ByteView report);
 
-  /// Memoized anon_id(node_key, report, node, anon_len). Counter accounting:
-  /// a hit bumps kCacheHits (no PRF computed); a miss bumps kCacheMisses and
-  /// kPrfEvals.
-  Bytes get_or_compute(std::uint64_t report_key, NodeId node, ByteView node_key,
-                       ByteView report, std::size_t anon_len,
-                       util::Counters* counters = nullptr);
+  /// Resolve one report's candidates under one shard lock. For each i, a hit
+  /// copies the anon ID into out[i * anon_len, (i + 1) * anon_len) and sets
+  /// hit[i] = 1; a miss sets hit[i] = 0 and leaves its slot untouched.
+  /// Lookup only — no compute, no counter accounting: the scoped paths probe
+  /// before lane packing so hits never occupy a lane, then meter hits and
+  /// misses per candidate actually walked. Returns the number of hits.
+  std::size_t lookup(std::uint64_t report_key, std::span<const NodeId> nodes,
+                     std::size_t anon_len, std::uint8_t* out, std::uint8_t* hit) const;
 
-  /// Same memoization through a precomputed key schedule (the scoped ring
-  /// search probes many candidates per mark; each miss saves the two HMAC
-  /// pad compressions).
-  Bytes get_or_compute(std::uint64_t report_key, NodeId node, const HmacKey& node_key,
-                       ByteView report, std::size_t anon_len,
-                       util::Counters* counters = nullptr);
-
-  /// Lookup only — no compute, no counter accounting. The batched scoped
-  /// path probes the cache *before* lane packing so hits never occupy a
-  /// lane; hit/miss counters are then metered logically per candidate
-  /// actually walked, preserving the serial path's accounting.
-  bool try_get(std::uint64_t report_key, NodeId node, std::size_t anon_len,
-               Bytes* out) const;
-
-  /// Store a value computed outside the cache (a multi-lane sweep). Same
-  /// epoch-eviction policy as get_or_compute; idempotent per key.
-  void insert(std::uint64_t report_key, NodeId node, std::size_t anon_len,
-              ByteView anon);
+  /// Store one report's anon IDs computed outside the cache (a multi-lane
+  /// sweep): nodes[i] gets values[i * anon_len, (i + 1) * anon_len), all
+  /// under one shard lock. Epoch eviction applies per entry; idempotent per
+  /// key.
+  void insert(std::uint64_t report_key, std::span<const NodeId> nodes,
+              std::size_t anon_len, const std::uint8_t* values);
 
   /// Total entries across shards (approximate under concurrent use).
   std::size_t size() const;
@@ -72,6 +63,8 @@ class PrfCache {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, Bytes> map;
   };
+
+  Shard& shard_of(std::uint64_t report_key) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t max_entries_per_shard_;

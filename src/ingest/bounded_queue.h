@@ -1,8 +1,8 @@
 // Bounded blocking queue — the backpressure seam between trace/live packet
 // producers and the sink's batch verifier.
 //
-// push() blocks while the queue is full, so a fast reader can never balloon
-// memory ahead of a slow verifier; pop_up_to() blocks until at least one item
+// push() and push_all() block while the queue is full, so a fast reader can
+// never balloon memory ahead of a slow verifier; pop_up_to() blocks until at least one item
 // (or close) and then drains up to a batch in FIFO order, which is what keeps
 // verdicts in arrival order downstream. Multiple producers are safe; the
 // single consumer contract is what the in-order guarantee rests on.
@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <vector>
 
 namespace pnm::ingest {
@@ -23,15 +24,30 @@ class BoundedQueue {
 
   /// Blocks until there is room (or the queue is closed). Returns false if
   /// the queue was closed — the item is dropped in that case.
-  bool push(T&& item) {
+  bool push(T&& item) { return push_all(std::span<T>(&item, 1)) == 1; }
+
+  /// Moves `items` in, in order, under one lock and with one consumer wake-up
+  /// when they all fit. A batch larger than the free room pushes what fits,
+  /// wakes the consumer and waits for room, so any batch completes against
+  /// a draining consumer whatever the capacity. Returns how many leading
+  /// items went in: all of them unless the queue was closed first, in which
+  /// case items [returned, size) are left unmoved and dropped by the caller.
+  std::size_t push_all(std::span<T> items) {
+    std::size_t pushed = 0;
     std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    if (items_.size() > high_water_) high_water_ = items_.size();
+    while (pushed < items.size()) {
+      if (items_.size() >= capacity_ && !closed_) {
+        if (pushed > 0) not_empty_.notify_one();  // let the consumer make room
+        not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
+      }
+      if (closed_) break;
+      while (pushed < items.size() && items_.size() < capacity_)
+        items_.push_back(std::move(items[pushed++]));
+      if (items_.size() > high_water_) high_water_ = items_.size();
+    }
     lock.unlock();
-    not_empty_.notify_one();
-    return true;
+    if (pushed > 0) not_empty_.notify_one();
+    return pushed;
   }
 
   /// Blocks until items are available or the queue is closed; moves up to

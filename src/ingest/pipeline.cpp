@@ -1,5 +1,6 @@
 #include "ingest/pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -91,29 +92,67 @@ bool Pipeline::push(net::Packet&& p, double time_s) {
 
 bool Pipeline::push(net::Packet&& p, double time_s, std::shared_ptr<StreamSink> sink,
                     std::uint64_t stream_seq) {
-  std::size_t lane = router_.shard_of(p);
-  std::uint64_t trace_id =
+  const std::uint64_t trace_id =
       obs::ProvenanceCollector::global().admit(p.report, p.delivered_by);
-  std::uint64_t mark_count = p.marks.size();
-  std::uint64_t report_bytes = p.report.size();
-  std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
-  obs::prov_emit(trace_id, seq, obs::ProvStage::kDecode, mark_count, report_bytes);
-  obs::prov_emit(trace_id, seq, obs::ProvStage::kRoute, lane, 0,
-                 static_cast<std::uint16_t>(lane));
-  if (queues_[lane]->push(
-          Item{seq, trace_id, std::move(p), time_s, std::move(sink), stream_seq})) {
-    obs::prov_emit(trace_id, seq, obs::ProvStage::kEnqueue, lane,
-                   queues_[lane]->size(), static_cast<std::uint16_t>(lane));
-    return true;
+  PushRecord record{std::move(p), time_s, trace_id};
+  return push_batch(std::span<PushRecord>(&record, 1), std::move(sink), stream_seq) == 1;
+}
+
+std::size_t Pipeline::push_batch(std::span<PushRecord> records,
+                                 std::shared_ptr<StreamSink> sink,
+                                 std::uint64_t first_stream_seq) {
+  if (records.empty()) return 0;
+  // Per-lane staging, reused across calls; emptied before returning so no
+  // record (or stream sink reference) outlives the call here.
+  thread_local std::vector<std::vector<Item>> by_lane;
+  by_lane.resize(std::max(by_lane.size(), queues_.size()));
+  const std::uint64_t seq0 = next_seq_.fetch_add(records.size(), std::memory_order_acq_rel);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    PushRecord& r = records[i];
+    const std::size_t lane = router_.shard_of(r.packet);
+    const std::uint64_t seq = seq0 + i;
+    obs::prov_emit(r.trace_id, seq, obs::ProvStage::kDecode, r.packet.marks.size(),
+                   r.packet.report.size());
+    obs::prov_emit(r.trace_id, seq, obs::ProvStage::kRoute, lane, 0,
+                   static_cast<std::uint16_t>(lane));
+    by_lane[lane].push_back(
+        Item{seq, r.trace_id, std::move(r.packet), r.time_s, sink, first_stream_seq + i});
   }
-  // The queue was closed after the sequence number was taken: tombstone it
-  // so the merge frontier can advance past the gap.
-  std::vector<FoldEntry> tomb(1);
-  tomb[0].seq = seq;
-  tomb[0].trace_id = trace_id;
-  tomb[0].dropped = true;
-  hand_off(std::move(tomb));
-  return false;
+
+  std::size_t accepted = 0;
+  std::vector<FoldEntry> tombs;
+  for (std::size_t lane = 0; lane < queues_.size(); ++lane) {
+    std::vector<Item>& items = by_lane[lane];
+    if (items.empty()) continue;
+    const std::size_t pushed = queues_[lane]->push_all(items);
+    accepted += pushed;
+    // push_all moved the accepted items out; their seq and trace_id are
+    // plain integers, still readable. The queue depth is read (one more
+    // lock) only when a sampled record needs it.
+    std::size_t depth = 0;
+    bool depth_read = false;
+    for (std::size_t k = 0; k < pushed; ++k) {
+      if (items[k].trace_id == 0) continue;
+      if (!depth_read) {
+        depth = queues_[lane]->size();
+        depth_read = true;
+      }
+      obs::prov_emit(items[k].trace_id, items[k].seq, obs::ProvStage::kEnqueue, lane,
+                     depth, static_cast<std::uint16_t>(lane));
+    }
+    // The queue closed after these sequence numbers were taken: tombstone
+    // them so the merge frontier can advance past the gap.
+    for (std::size_t k = pushed; k < items.size(); ++k) {
+      FoldEntry tomb;
+      tomb.seq = items[k].seq;
+      tomb.trace_id = items[k].trace_id;
+      tomb.dropped = true;
+      tombs.push_back(std::move(tomb));
+    }
+    items.clear();
+  }
+  if (!tombs.empty()) hand_off(std::move(tombs));
+  return accepted;
 }
 
 void Pipeline::hand_off(std::vector<FoldEntry> entries) {

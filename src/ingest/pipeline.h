@@ -42,6 +42,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,18 @@ struct PipelineConfig {
   /// clamped to the verifier bank's lane count. Results are shard-count
   /// invariant by construction.
   std::size_t shards = 1;
+};
+
+/// One record of a producer's batch (Pipeline::push_batch).
+struct PushRecord {
+  net::Packet packet;
+  double time_s = 0.0;
+  /// The record's provenance trace id, exactly
+  /// `obs::ProvenanceCollector::global().admit(packet.report,
+  /// packet.delivered_by)`: a producer that already hashed the record for its
+  /// own provenance stage passes the id on instead of hashing twice. 0 =
+  /// unsampled.
+  std::uint64_t trace_id = 0;
 };
 
 /// Everything a pipeline run observed, for reporting and assertions.
@@ -124,6 +137,15 @@ class Pipeline {
   /// in queues or lane batches without dangling the sink.
   bool push(net::Packet&& p, double time_s, std::shared_ptr<StreamSink> sink,
             std::uint64_t stream_seq);
+  /// Batch push, the code under both push() forms: the records take one
+  /// range of consecutive arrival sequence numbers (one reservation) and,
+  /// when `sink` is set, the stream seqs first_stream_seq, first_stream_seq
+  /// + 1, ...; each lane's share goes into its queue with one
+  /// BoundedQueue::push_all. Records are moved from. Returns how many were
+  /// accepted; any refused because the pipeline closed are tombstoned so the
+  /// merge cannot stall.
+  std::size_t push_batch(std::span<PushRecord> records, std::shared_ptr<StreamSink> sink,
+                         std::uint64_t first_stream_seq);
   /// Signal end of input; run() returns once every lane drains.
   void close();
 

@@ -230,14 +230,14 @@ void Server::unregister_session(std::uint64_t id) {
   sessions_cv_.notify_all();
 }
 
-bool Server::gated_push(net::Packet&& p, double time_s,
-                        std::shared_ptr<ingest::StreamSink> sink,
-                        std::uint64_t stream_seq) {
+std::size_t Server::gated_push_batch(std::span<ingest::PushRecord> records,
+                                     std::shared_ptr<ingest::StreamSink> sink,
+                                     std::uint64_t first_stream_seq) {
   std::shared_lock<std::shared_mutex> gate(ingest_gate_);
-  if (!pipeline_->push(std::move(p), time_s, std::move(sink), stream_seq))
-    return false;
-  records_total_->add();
-  return true;
+  const std::size_t accepted =
+      pipeline_->push_batch(records, std::move(sink), first_stream_seq);
+  if (accepted > 0) records_total_->add(accepted);
+  return accepted;
 }
 
 void Server::note_session_bytes(std::size_t n) {

@@ -6,7 +6,7 @@
 //
 //   TCP 127.0.0.1:<port> ┐                         ┌ shard lanes ┐
 //   unix socket <path>   ┼─ accept → Session threads ┼ Pipeline   ┼─ merge
-//                        │   (credit-gated pushes)   └────────────┘   digest
+//                        │  (one push per message)   └────────────┘   digest
 //   admin 127.0.0.1:<p>  ┴─ /metrics /healthz /drain /rekey
 //
 // Every session pushes into the same pipeline, so the global verdict digest
@@ -35,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -122,13 +123,15 @@ class Server {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   const std::string& flight_dump_path() const { return cfg_.flight_dump_path; }
 
-  /// Push one decoded record through the rekey gate (shared lock: many
-  /// sessions push concurrently; /rekey takes the gate exclusively). False
-  /// once the pipeline is closed. The pipeline co-owns `sink` per queued
-  /// record, so a session may be destroyed while its records are in flight.
-  bool gated_push(net::Packet&& p, double time_s,
-                  std::shared_ptr<ingest::StreamSink> sink,
-                  std::uint64_t stream_seq);
+  /// Push one message's decoded records through the rekey gate (shared
+  /// lock: many sessions push concurrently; /rekey takes the gate
+  /// exclusively) as one Pipeline::push_batch. Returns how many records the
+  /// pipeline accepted: fewer than records.size() only once it is closed.
+  /// The pipeline co-owns `sink` per queued record, so a session may be
+  /// destroyed while its records are in flight.
+  std::size_t gated_push_batch(std::span<ingest::PushRecord> records,
+                               std::shared_ptr<ingest::StreamSink> sink,
+                               std::uint64_t first_stream_seq);
 
   void note_session_bytes(std::size_t n);
   void note_session_abort();

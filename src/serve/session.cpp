@@ -129,16 +129,13 @@ bool Session::drain_trace_frames() {
         packet->delivered_by = outcome->record.delivered_by;
         // Session ingress is the serve-side kDeliver: same content hash as
         // simulator delivery and replay, so sampling picks the same records.
-        obs::prov_emit(obs::ProvenanceCollector::global().admit(
-                           packet->report, packet->delivered_by),
-                       stream_seq_, obs::ProvStage::kDeliver, id_,
-                       packet->marks.size());
-        if (!server_.gated_push(std::move(*packet), outcome->record.time_s(),
-                                digest_, stream_seq_)) {
-          abort_session("sink is draining");
-          return false;
-        }
-        ++stream_seq_;
+        // The pipeline reuses the id rather than hashing the record again.
+        const std::uint64_t trace_id =
+            obs::ProvenanceCollector::global().admit(packet->report, packet->delivered_by);
+        obs::prov_emit(trace_id, stream_seq_ + pending_.size(), obs::ProvStage::kDeliver,
+                       id_, packet->marks.size());
+        pending_.push_back(
+            ingest::PushRecord{std::move(*packet), outcome->record.time_s(), trace_id});
         break;
       }
       case trace::ReadStatus::kBadCrc:
@@ -148,10 +145,9 @@ bool Session::drain_trace_frames() {
         break;
       case trace::ReadStatus::kTruncated:
       case trace::ReadStatus::kOversized:
-        abort_session("malformed trace stream");
+        if (push_pending()) abort_session("malformed trace stream");
         return false;
     }
-    flush_credits(false);
   }
   if (trace_.header_failed()) {
     abort_session("bad trace header: " + trace_.header_error());
@@ -159,8 +155,20 @@ bool Session::drain_trace_frames() {
   }
   // A chunk can complete the header without yielding a record yet.
   if (!check_campaign()) return false;
-  flush_credits(true);
+  if (!push_pending()) return false;
+  flush_credits();
   return true;
+}
+
+bool Session::push_pending() {
+  if (pending_.empty()) return true;
+  const std::size_t n = pending_.size();
+  const std::size_t accepted = server_.gated_push_batch(pending_, digest_, stream_seq_);
+  pending_.clear();
+  stream_seq_ += accepted;
+  if (accepted == n) return true;
+  abort_session("sink is draining");
+  return false;
 }
 
 bool Session::check_campaign() {
@@ -173,10 +181,8 @@ bool Session::check_campaign() {
   return true;
 }
 
-void Session::flush_credits(bool force) {
-  std::uint32_t window = server_.credit_window();
+void Session::flush_credits() {
   if (credits_owed_ == 0) return;
-  if (!force && credits_owed_ < window / 2) return;
   std::uint32_t grant = static_cast<std::uint32_t>(credits_owed_);
   credits_owed_ = 0;
   send_msg(MsgType::kCredit, encode_credit(grant));

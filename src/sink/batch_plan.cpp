@@ -14,6 +14,7 @@
 #include "crypto/hmac.h"
 #include "marking/mark.h"
 #include "sink/anon_lookup.h"
+#include "sink/scoped_verify.h"
 
 namespace pnm::sink {
 
@@ -210,17 +211,12 @@ struct ScopedLane {
   marking::VerifyResult* out = nullptr;
   std::uint64_t rkey = 0;
   NodeId anchor = kSinkId;
-  std::size_t j = 0;     ///< mark currently being resolved
-  std::size_t ring = 1;  ///< next ring to probe for mark j
-  std::vector<NodeId> tried;
-  Bytes input;  ///< nested_mac_input for mark j
+  std::size_t j = 0;  ///< mark currently being resolved
+  RingWalk walk;      ///< mark j's ring search
+  Bytes input;        ///< nested_mac_input for mark j
   bool active = false;
 
   // Round scratch.
-  std::vector<NodeId> ball;
-  std::vector<NodeId> eligible;
-  std::vector<Bytes> anons;
-  std::vector<std::uint8_t> was_hit;
   std::vector<std::uint32_t> miss_group, miss_pos;  ///< per miss: sweep slot
   bool grew = false;
 };
@@ -232,13 +228,12 @@ void truncate_lane(ScopedLane& lane) {
   lane.active = false;
 }
 
-/// Point `lane` at mark j (ring 1, nothing tried). A malformed identity
+/// Point `lane` at mark j (ring 1 around its anchor). A malformed identity
 /// field can never resolve, so it truncates immediately — same as the serial
 /// loop falling through its candidate search.
 void start_mark(ScopedLane& lane, std::size_t j, std::size_t anon_len) {
   lane.j = j;
-  lane.ring = 1;
-  lane.tried.clear();
+  lane.walk.start(lane.anchor);
   const net::Mark& m = lane.p->marks[j];
   if (m.id_field.size() != anon_len) {
     truncate_lane(lane);
@@ -250,12 +245,11 @@ void start_mark(ScopedLane& lane, std::size_t j, std::size_t anon_len) {
 }  // namespace
 
 void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore& keys,
-                        const net::Topology& topo,
-                        std::span<const net::Packet> packets,
+                        const RingIndex& rings, std::span<const net::Packet> packets,
                         marking::VerifyResult* results, crypto::PrfCache* cache,
                         util::Counters& metrics, obs::Counter* reports_deduped) {
   const std::size_t n = packets.size();
-  const std::size_t ring_bound = topo.node_count();
+  const std::size_t ring_bound = rings.node_count();
 
   std::vector<ScopedLane> lanes(n);
   std::unordered_map<std::string_view, std::size_t> seen_reports;
@@ -272,7 +266,7 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
     lane.p = &p;
     lane.out = &results[i];
     lane.rkey = cache != nullptr ? crypto::PrfCache::report_key(p.report) : 0;
-    lane.anchor = (p.delivered_by != kInvalidNode && p.delivered_by < topo.node_count())
+    lane.anchor = (p.delivered_by != kInvalidNode && p.delivered_by < rings.node_count())
                       ? p.delivered_by
                       : kSinkId;
     lane.active = true;
@@ -301,44 +295,30 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
   std::vector<std::uint32_t> match_lane;  // per lane: first MAC lane this round
 
   while (in_flight > 0) {
-    // Phase A: every in-flight lane grows its ring, filters eligibility, and
-    // pre-probes the cache (hits never occupy a PRF lane).
+    // Phase A: every in-flight lane loads its ring (one cache probe per
+    // ring; hits never occupy a PRF lane) and files its misses by report.
     groups.clear();
     group_of.clear();
     for (ScopedLane& lane : lanes) {
       if (!lane.active) continue;
-      lane.ball = topo.k_hop_neighborhood(lane.anchor, lane.ring);
-      lane.eligible.clear();
-      for (NodeId candidate : lane.ball) {
-        if (candidate == kSinkId || candidate >= keys.size()) continue;
-        if (std::binary_search(lane.tried.begin(), lane.tried.end(), candidate))
-          continue;
-        lane.eligible.push_back(candidate);
+      lane.grew = lane.walk.load(rings, keys.size(), cache, lane.rkey, cfg.anon_len);
+      const std::span<const NodeId> misses = lane.walk.miss_ids();
+      lane.miss_group.resize(misses.size());
+      lane.miss_pos.resize(misses.size());
+      if (misses.empty()) continue;
+      auto [git, fresh] = group_of.try_emplace(report_view(*lane.p), groups.size());
+      if (fresh) {
+        groups.emplace_back();
+        groups.back().report = ByteView(lane.p->report.data(), lane.p->report.size());
+        groups.back().rkey = lane.rkey;
       }
-      lane.grew = !lane.eligible.empty();
-      lane.anons.assign(lane.eligible.size(), Bytes());
-      lane.was_hit.assign(lane.eligible.size(), 0);
-      lane.miss_group.assign(lane.eligible.size(), 0);
-      lane.miss_pos.assign(lane.eligible.size(), 0);
-      for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-        if (cache != nullptr &&
-            cache->try_get(lane.rkey, lane.eligible[i], cfg.anon_len, &lane.anons[i])) {
-          lane.was_hit[i] = 1;
-          continue;
-        }
-        auto [git, fresh] = group_of.try_emplace(report_view(*lane.p), groups.size());
-        if (fresh) {
-          groups.emplace_back();
-          groups.back().report = ByteView(lane.p->report.data(), lane.p->report.size());
-          groups.back().rkey = lane.rkey;
-        }
-        MissGroup& g = groups[git->second];
+      MissGroup& g = groups[git->second];
+      for (std::size_t k = 0; k < misses.size(); ++k) {
         auto [sit, new_node] =
-            g.slot_of.try_emplace(lane.eligible[i],
-                                  static_cast<std::uint32_t>(g.nodes.size()));
-        if (new_node) g.nodes.push_back(lane.eligible[i]);
-        lane.miss_group[i] = static_cast<std::uint32_t>(git->second);
-        lane.miss_pos[i] = sit->second;
+            g.slot_of.try_emplace(misses[k], static_cast<std::uint32_t>(g.nodes.size()));
+        if (new_node) g.nodes.push_back(misses[k]);
+        lane.miss_group[k] = static_cast<std::uint32_t>(git->second);
+        lane.miss_pos[k] = sit->second;
       }
     }
 
@@ -352,20 +332,14 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
       }
       crypto::anon_id_batch_multi(keys, sweep, cfg.anon_len);
       if (cache != nullptr) {
-        for (MissGroup& g : groups) {
-          for (std::size_t k = 0; k < g.nodes.size(); ++k) {
-            cache->insert(g.rkey, g.nodes[k], cfg.anon_len,
-                          ByteView(g.out.data() + k * cfg.anon_len, cfg.anon_len));
-          }
-        }
+        for (const MissGroup& g : groups)
+          cache->insert(g.rkey, g.nodes, cfg.anon_len, g.out.data());
       }
       for (ScopedLane& lane : lanes) {
         if (!lane.active) continue;
-        for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-          if (lane.was_hit[i]) continue;
-          const MissGroup& g = groups[lane.miss_group[i]];
-          const std::uint8_t* v = g.out.data() + lane.miss_pos[i] * cfg.anon_len;
-          lane.anons[i].assign(v, v + cfg.anon_len);
+        for (std::size_t k = 0; k < lane.walk.miss_ids().size(); ++k) {
+          const MissGroup& g = groups[lane.miss_group[k]];
+          lane.walk.fill_miss(k, g.out.data() + lane.miss_pos[k] * cfg.anon_len);
         }
       }
     }
@@ -380,39 +354,33 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
       if (!lane.active) continue;
       match_lane[li] = static_cast<std::uint32_t>(mac_jobs.size());
       const net::Mark& m = lane.p->marks[lane.j];
-      for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-        if (lane.anons[i] == m.id_field)
-          mac_jobs.push_back({&keys.hmac_key(lane.eligible[i]), ByteView(lane.input)});
+      const std::span<const NodeId> cands = lane.walk.candidates();
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        if (lane.walk.matches(i, m.id_field))
+          mac_jobs.push_back({&keys.hmac_key(cands[i]), ByteView(lane.input)});
       }
     }
     mac_out.resize(mac_jobs.size());
     if (!mac_jobs.empty()) crypto::hmac_batch(mac_jobs, mac_out.data());
 
-    // Phase D: walk each ring in ball order with the serial accounting, then
+    // Phase D: walk each ring in id order with the serial accounting, then
     // advance the state machine (next ring, next mark, or done).
     for (std::size_t li = 0; li < n; ++li) {
       ScopedLane& lane = lanes[li];
       if (!lane.active) continue;
       const net::Mark& m = lane.p->marks[lane.j];
-      NodeId resolved = kInvalidNode;
       std::uint32_t mac_lane = match_lane[li];
-      for (std::size_t i = 0; i < lane.eligible.size(); ++i) {
-        if (cache != nullptr && lane.was_hit[i]) {
-          metrics.add(util::Metric::kCacheHits);
-        } else {
-          if (cache != nullptr) metrics.add(util::Metric::kCacheMisses);
-          metrics.add(util::Metric::kPrfEvals);
-        }
-        if (lane.anons[i] != m.id_field) continue;
-        const std::uint32_t lane_idx = mac_lane++;
-        metrics.add(util::Metric::kMacChecks);
-        if (m.mac.size() >= 1 && m.mac.size() <= crypto::kSha256DigestSize &&
-            constant_time_equal(ByteView(mac_out[lane_idx].data(), m.mac.size()),
-                                m.mac)) {
-          resolved = lane.eligible[i];
-          break;
-        }
-      }
+      const NodeId resolved =
+          lane.walk
+              .walk(m.id_field, cache != nullptr, metrics,
+                    [&](std::size_t) {
+                      const std::uint32_t lane_idx = mac_lane++;
+                      return m.mac.size() >= 1 &&
+                             m.mac.size() <= crypto::kSha256DigestSize &&
+                             constant_time_equal(
+                                 ByteView(mac_out[lane_idx].data(), m.mac.size()), m.mac);
+                    })
+              .resolved;
 
       if (resolved != kInvalidNode) {
         lane.out->chain.insert(lane.out->chain.begin(),
@@ -423,16 +391,10 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
         } else {
           start_mark(lane, lane.j - 1, cfg.anon_len);
         }
-      } else {
-        lane.tried = std::move(lane.ball);
-        std::sort(lane.tried.begin(), lane.tried.end());
-        if (!lane.grew || lane.ring + 1 > ring_bound) {
-          // Ring stopped growing (whole component searched) or the diameter
-          // bound is exhausted: the mark cannot resolve.
-          truncate_lane(lane);
-        } else {
-          ++lane.ring;
-        }
+      } else if (!lane.walk.advance(lane.grew, ring_bound)) {
+        // Ring stopped growing (whole component searched) or the diameter
+        // bound is exhausted: the mark cannot resolve.
+        truncate_lane(lane);
       }
       if (!lane.active) --in_flight;
     }

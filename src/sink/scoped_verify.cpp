@@ -1,24 +1,37 @@
 #include "sink/scoped_verify.h"
 
-#include <algorithm>
-
 #include "crypto/anon_id.h"
 #include "crypto/hmac.h"
 #include "marking/mark.h"
 
 namespace pnm::sink {
 
-namespace {
-
-/// Longest hop distance worth searching before declaring an ID alien: the
-/// network diameter bounds every honest gap.
-std::size_t diameter_bound(const net::Topology& topo) { return topo.node_count(); }
-
-}  // namespace
+bool RingWalk::load(const RingIndex& rings, std::size_t key_count,
+                    const crypto::PrfCache* cache, std::uint64_t report_key,
+                    std::size_t anon_len) {
+  anon_len_ = anon_len;
+  cands_.clear();
+  for (NodeId candidate : rings.ring(anchor_, ring_)) {
+    if (candidate == kSinkId || candidate >= key_count) continue;
+    cands_.push_back(candidate);
+  }
+  anons_.resize(cands_.size() * anon_len);
+  hit_.assign(cands_.size(), 0);
+  if (cache != nullptr && !cands_.empty())
+    cache->lookup(report_key, cands_, anon_len, anons_.data(), hit_.data());
+  miss_idx_.clear();
+  miss_ids_.clear();
+  for (std::size_t i = 0; i < cands_.size(); ++i) {
+    if (hit_[i]) continue;
+    miss_idx_.push_back(static_cast<std::uint32_t>(i));
+    miss_ids_.push_back(cands_[i]);
+  }
+  return !cands_.empty();
+}
 
 marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                                         const crypto::KeyStore& keys,
-                                        const net::Topology& topo,
+                                        const RingIndex& rings,
                                         const marking::SchemeConfig& cfg,
                                         ScopedVerifyStats* stats,
                                         crypto::PrfCache* cache,
@@ -30,93 +43,46 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
   if (p.marks.empty()) return out;
 
   const std::uint64_t rkey = cache ? crypto::PrfCache::report_key(p.report) : 0;
+  // The network diameter bounds every honest gap between consecutive marks.
+  const std::size_t ring_bound = rings.node_count();
 
   ScopedVerifyStats local;
-  NodeId anchor = (p.delivered_by != kInvalidNode && p.delivered_by < topo.node_count())
+  NodeId anchor = (p.delivered_by != kInvalidNode && p.delivered_by < rings.node_count())
                       ? p.delivered_by
                       : kSinkId;
 
+  thread_local RingWalk walk;
+  thread_local Bytes swept;
   for (std::size_t j = p.marks.size(); j-- > 0;) {
     const net::Mark& m = p.marks[j];
     NodeId resolved = kInvalidNode;
 
     if (m.id_field.size() == cfg.anon_len) {
       Bytes input = marking::nested_mac_input(p, j, m.id_field);
-      std::vector<NodeId> tried;  // sorted ids already checked in inner rings
-
-      for (std::size_t ring = 1; ring <= diameter_bound(topo) && resolved == kInvalidNode;
-           ++ring) {
-        if (ring > 1) ++local.ring_expansions;
-        std::vector<NodeId> ball = topo.k_hop_neighborhood(anchor, ring);
-
-        // Batched ring probe: collect the ring's eligible candidates, filter
-        // them through the PRF cache (hits never occupy a lane), evaluate
-        // the misses in one multi-lane sweep, then walk candidates in ball
-        // order with the serial path's accounting — prf_evaluations and the
-        // hit/miss/MAC counters meter candidates *walked* (up to the
-        // resolving one), exactly as the one-at-a-time loop did, while the
-        // lanes may have speculatively computed past the break point. Every
-        // computed value is cached; values are backend-independent, so the
-        // verdict is bit-identical either way.
-        thread_local std::vector<NodeId> eligible;
-        thread_local std::vector<Bytes> anons;
-        thread_local std::vector<std::uint8_t> was_hit;
-        thread_local std::vector<std::size_t> miss_idx;
-        thread_local std::vector<NodeId> miss_ids;
-        thread_local Bytes lane_out;
-        eligible.clear();
-        for (NodeId candidate : ball) {
-          if (candidate == kSinkId || candidate >= keys.size()) continue;
-          if (std::binary_search(tried.begin(), tried.end(), candidate)) continue;
-          eligible.push_back(candidate);
+      walk.start(anchor);
+      bool grew = false;
+      do {
+        if (walk.ring() > 1) ++local.ring_expansions;
+        // One ring: its candidates, one cache probe, then the misses in one
+        // multi-lane sweep. Lanes may compute past the resolving candidate;
+        // that speculation is unmetered, and every computed value is cached.
+        grew = walk.load(rings, keys.size(), cache, rkey, cfg.anon_len);
+        if (!walk.miss_ids().empty()) {
+          swept.resize(walk.miss_ids().size() * cfg.anon_len);
+          crypto::anon_id_batch(keys, p.report, walk.miss_ids(), cfg.anon_len,
+                                swept.data());
+          for (std::size_t k = 0; k < walk.miss_ids().size(); ++k)
+            walk.fill_miss(k, swept.data() + k * cfg.anon_len);
+          if (cache) cache->insert(rkey, walk.miss_ids(), cfg.anon_len, swept.data());
         }
-        const bool grew = !eligible.empty();
-
-        anons.assign(eligible.size(), Bytes());
-        was_hit.assign(eligible.size(), 0);
-        miss_idx.clear();
-        for (std::size_t i = 0; i < eligible.size(); ++i) {
-          if (cache && cache->try_get(rkey, eligible[i], cfg.anon_len, &anons[i])) {
-            was_hit[i] = 1;
-          } else {
-            miss_idx.push_back(i);
-          }
-        }
-        if (!miss_idx.empty()) {
-          miss_ids.clear();
-          for (std::size_t i : miss_idx) miss_ids.push_back(eligible[i]);
-          lane_out.resize(miss_ids.size() * cfg.anon_len);
-          crypto::anon_id_batch(keys, p.report, miss_ids, cfg.anon_len,
-                                lane_out.data());
-          for (std::size_t k = 0; k < miss_idx.size(); ++k) {
-            const std::uint8_t* v = lane_out.data() + k * cfg.anon_len;
-            anons[miss_idx[k]].assign(v, v + cfg.anon_len);
-            if (cache)
-              cache->insert(rkey, miss_ids[k], cfg.anon_len, anons[miss_idx[k]]);
-          }
-        }
-
-        for (std::size_t i = 0; i < eligible.size(); ++i) {
-          NodeId candidate = eligible[i];
-          ++local.prf_evaluations;
-          if (cache && was_hit[i]) {
-            metrics.add(util::Metric::kCacheHits);
-          } else {
-            if (cache) metrics.add(util::Metric::kCacheMisses);
-            metrics.add(util::Metric::kPrfEvals);
-          }
-          if (anons[i] != m.id_field) continue;
-          ++local.mac_checks;
-          metrics.add(util::Metric::kMacChecks);
-          if (keys.hmac_key(candidate).verify(input, m.mac)) {
-            resolved = candidate;
-            break;
-          }
-        }
-        tried = std::move(ball);
-        std::sort(tried.begin(), tried.end());
-        if (!grew) break;  // ring stopped growing: whole component searched
-      }
+        const RingWalk::Step step =
+            walk.walk(m.id_field, cache != nullptr, metrics, [&](std::size_t i) {
+              return keys.hmac_key(walk.candidates()[i]).verify(input, m.mac);
+            });
+        local.prf_evaluations += step.walked;
+        local.mac_checks += step.macs;
+        resolved = step.resolved;
+      } while (resolved == kInvalidNode && walk.advance(grew, ring_bound));
     }
 
     if (resolved == kInvalidNode) {
@@ -134,6 +100,17 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
     stats->ring_expansions += local.ring_expansions;
   }
   return out;
+}
+
+marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
+                                        const crypto::KeyStore& keys,
+                                        const net::Topology& topo,
+                                        const marking::SchemeConfig& cfg,
+                                        ScopedVerifyStats* stats,
+                                        crypto::PrfCache* cache,
+                                        util::Counters* counters) {
+  const RingIndex rings(topo);
+  return scoped_verify_pnm(p, keys, rings, cfg, stats, cache, counters);
 }
 
 }  // namespace pnm::sink

@@ -96,6 +96,76 @@ TEST(BoundedQueue, PushAfterCloseIsRejected) {
   EXPECT_FALSE(q.pop_up_to(8, batch));  // closed and drained
 }
 
+TEST(BoundedQueue, PushAllKeepsFifoOrderAcrossBatches) {
+  ingest::BoundedQueue<int> q(64);
+  std::vector<int> first = {0, 1, 2, 3, 4};
+  std::vector<int> second = {5, 6, 7};
+  EXPECT_EQ(q.push_all(first), 5u);
+  ASSERT_TRUE(q.push(8));
+  EXPECT_EQ(q.push_all(second), 3u);
+  q.close();
+  std::vector<int> drained;
+  std::vector<int> batch;
+  while (q.pop_up_to(4, batch)) {
+    drained.insert(drained.end(), batch.begin(), batch.end());
+    batch.clear();
+  }
+  EXPECT_EQ(drained, (std::vector<int>{0, 1, 2, 3, 4, 8, 5, 6, 7}));
+  EXPECT_EQ(q.high_water(), 9u);
+}
+
+TEST(BoundedQueue, PushAllLargerThanCapacityCompletesAgainstSlowConsumer) {
+  // Capacity 1, a batch of 8: the producer must wake the consumer after each
+  // item that fits, or both sides wait forever mid-batch.
+  ingest::BoundedQueue<int> q(1);
+  std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
+  std::size_t pushed = 0;
+  std::thread producer([&] {
+    pushed = q.push_all(items);
+    q.close();
+  });
+  std::vector<int> drained;
+  std::vector<int> batch;
+  while (q.pop_up_to(8, batch)) {
+    drained.insert(drained.end(), batch.begin(), batch.end());
+    batch.clear();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  producer.join();
+  EXPECT_EQ(pushed, 8u);
+  EXPECT_EQ(drained, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(q.high_water(), 1u);
+}
+
+TEST(BoundedQueue, PushAllReturnsPartialCountOnClose) {
+  ingest::BoundedQueue<std::unique_ptr<int>> q(2);
+  std::vector<std::unique_ptr<int>> items;
+  for (int i = 0; i < 5; ++i) items.push_back(std::make_unique<int>(i));
+  std::atomic<bool> returned{false};
+  std::size_t pushed = 0;
+  std::thread producer([&] {
+    pushed = q.push_all(items);
+    returned = true;
+  });
+  // Nothing drains: the producer fills the queue and blocks mid-batch until
+  // close() refuses the rest.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  q.close();
+  producer.join();
+  EXPECT_EQ(pushed, 2u);
+  for (std::size_t i = 2; i < items.size(); ++i) {  // refused items stay put
+    ASSERT_TRUE(items[i]) << i;
+    EXPECT_EQ(*items[i], static_cast<int>(i));
+  }
+  std::vector<std::unique_ptr<int>> batch;
+  ASSERT_TRUE(q.pop_up_to(8, batch));
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(*batch[0], 0);
+  EXPECT_EQ(*batch[1], 1);
+  EXPECT_FALSE(q.pop_up_to(8, batch));
+}
+
 // ---------------------------------------------------------------------------
 // ShardRouter: flow affinity and balance.
 
@@ -789,6 +859,62 @@ TEST(MergeStage, PushRacingCloseStillReachesTheFrontier) {
     EXPECT_EQ(stack.pipeline.merge_frontier(), stack.pipeline.seqs_issued())
         << "round " << round;
     EXPECT_TRUE(stack.pipeline.quiescent());
+    EXPECT_LT(stack.pipeline.stats().records, stack.pipeline.seqs_issued());
+  }
+}
+
+TEST(MergeStage, BatchPushRacingCloseStillReachesTheFrontier) {
+  // The serve path's push: each producer hands in batches that take a whole
+  // range of sequence numbers at once and split across both lanes. A batch
+  // caught by close() mid-way must tombstone exactly its refused records.
+  std::vector<net::Packet> packets;
+  {
+    trace::TraceReader reader(kCorpusTrace);
+    ASSERT_TRUE(reader.valid());
+    while (auto outcome = reader.next()) {
+      if (outcome->status != trace::ReadStatus::kRecord) continue;
+      auto packet = net::decode_packet(outcome->record.wire);
+      ASSERT_TRUE(packet);
+      packet->delivered_by = outcome->record.delivered_by;
+      packets.push_back(std::move(*packet));
+    }
+  }
+  ASSERT_FALSE(packets.empty());
+
+  for (int round = 0; round < 8; ++round) {
+    util::Counters counters;
+    ingest::PipelineConfig pcfg;
+    pcfg.queue_capacity = 4;  // batches block on backpressure mid-race
+    pcfg.batch_size = 2;
+    LiveStack stack(counters, 2, pcfg);
+    std::thread runner([&] { stack.pipeline.run(); });
+    std::atomic<std::uint64_t> accepted{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 3; ++p) {
+      producers.emplace_back([&, p] {
+        auto sink = std::make_shared<ingest::StreamDigest>();
+        std::uint64_t stream_seq = 0;
+        for (std::size_t i = static_cast<std::size_t>(p);; i += 7) {
+          std::vector<ingest::PushRecord> batch;
+          for (std::size_t k = 0; k < 7; ++k)
+            batch.push_back({packets[(i + k) % packets.size()], 0.0, 0});
+          const std::size_t n = batch.size();
+          const std::size_t got = stack.pipeline.push_batch(batch, sink, stream_seq);
+          accepted += got;
+          stream_seq += n;
+          if (got < n) return;
+        }
+      });
+    }
+    while (stack.pipeline.seqs_issued() < 64 + 16 * static_cast<std::uint64_t>(round))
+      std::this_thread::yield();
+    stack.pipeline.close();
+    runner.join();
+    for (auto& t : producers) t.join();
+    EXPECT_EQ(stack.pipeline.merge_frontier(), stack.pipeline.seqs_issued())
+        << "round " << round;
+    EXPECT_TRUE(stack.pipeline.quiescent());
+    EXPECT_EQ(stack.pipeline.stats().records, accepted.load()) << "round " << round;
     EXPECT_LT(stack.pipeline.stats().records, stack.pipeline.seqs_issued());
   }
 }

@@ -231,9 +231,10 @@ void truncate_lane(ScopedLane& lane) {
 /// Point `lane` at mark j (ring 1 around its anchor). A malformed identity
 /// field can never resolve, so it truncates immediately — same as the serial
 /// loop falling through its candidate search.
-void start_mark(ScopedLane& lane, std::size_t j, std::size_t anon_len) {
+void start_mark(ScopedLane& lane, const net::Topology& topo, std::size_t j,
+                std::size_t anon_len) {
   lane.j = j;
-  lane.walk.start(lane.anchor);
+  lane.walk.start(topo, lane.anchor);
   const net::Mark& m = lane.p->marks[j];
   if (m.id_field.size() != anon_len) {
     truncate_lane(lane);
@@ -245,11 +246,12 @@ void start_mark(ScopedLane& lane, std::size_t j, std::size_t anon_len) {
 }  // namespace
 
 void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore& keys,
-                        const RingIndex& rings, std::span<const net::Packet> packets,
+                        const net::Topology& topo,
+                        std::span<const net::Packet> packets,
                         marking::VerifyResult* results, crypto::PrfCache* cache,
                         util::Counters& metrics, obs::Counter* reports_deduped) {
   const std::size_t n = packets.size();
-  const std::size_t ring_bound = rings.node_count();
+  const std::size_t ring_bound = topo.node_count();
 
   std::vector<ScopedLane> lanes(n);
   std::unordered_map<std::string_view, std::size_t> seen_reports;
@@ -266,11 +268,11 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
     lane.p = &p;
     lane.out = &results[i];
     lane.rkey = cache != nullptr ? crypto::PrfCache::report_key(p.report) : 0;
-    lane.anchor = (p.delivered_by != kInvalidNode && p.delivered_by < rings.node_count())
+    lane.anchor = (p.delivered_by != kInvalidNode && p.delivered_by < topo.node_count())
                       ? p.delivered_by
                       : kSinkId;
     lane.active = true;
-    start_mark(lane, p.marks.size() - 1, cfg.anon_len);
+    start_mark(lane, topo, p.marks.size() - 1, cfg.anon_len);
     if (lane.active) ++in_flight;
   }
   if (reports_deduped != nullptr && deduped > 0) reports_deduped->add(deduped);
@@ -301,7 +303,7 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
     group_of.clear();
     for (ScopedLane& lane : lanes) {
       if (!lane.active) continue;
-      lane.grew = lane.walk.load(rings, keys.size(), cache, lane.rkey, cfg.anon_len);
+      lane.grew = lane.walk.load(keys.size(), cache, lane.rkey, cfg.anon_len);
       const std::span<const NodeId> misses = lane.walk.miss_ids();
       lane.miss_group.resize(misses.size());
       lane.miss_pos.resize(misses.size());
@@ -389,7 +391,7 @@ void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore
         if (lane.j == 0) {
           lane.active = false;
         } else {
-          start_mark(lane, lane.j - 1, cfg.anon_len);
+          start_mark(lane, topo, lane.j - 1, cfg.anon_len);
         }
       } else if (!lane.walk.advance(lane.grew, ring_bound)) {
         // Ring stopped growing (whole component searched) or the diameter

@@ -23,11 +23,11 @@
 // state) and the nested MAC input M_{j-1}|i' is a pure function of the
 // packet bytes — so hoisting changes *when* a value is computed, never
 // *what*. The candidate walk order (table order / ring order, ascending ids
-// within a ring) and the logical counter accounting (candidates *walked*, up to the resolving one)
-// are preserved; lanes may speculatively compute past a break point, which
-// is the same unmetered speculation the per-packet batched paths already
-// perform. Asserted by tests/batch_plan_test.cpp across SHA backends,
-// strategies, and ragged batch shapes.
+// within a ring) and the logical counter accounting (candidates *walked*, up
+// to the resolving one) are preserved; lanes may speculatively compute past
+// a break point, which is the same unmetered speculation the per-packet
+// batched paths already perform. Asserted by tests/batch_plan_test.cpp
+// across SHA backends, strategies, and ragged batch shapes.
 #pragma once
 
 #include <optional>
@@ -37,7 +37,7 @@
 #include "crypto/keys.h"
 #include "crypto/prf_cache.h"
 #include "marking/scheme.h"
-#include "sink/ring_index.h"
+#include "net/topology.h"
 #include "obs/metrics.h"
 #include "util/counters.h"
 
@@ -88,8 +88,8 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
 
 /// Cross-packet scoped planner: verify packets[i] into results[i] with
 /// scoped_verify_pnm semantics (§7 ring-expanding search). Packets advance
-/// as lockstep state machines, each a RingWalk over the shared `rings` —
-/// each round loads every in-flight ring with one cache probe, aggregates
+/// as lockstep state machines, each a RingWalk over `topo` — each round
+/// loads every in-flight ring with one cache probe, aggregates
 /// the rings' PRF cache misses (deduped by (report, node), mirroring what
 /// the PrfCache would have deduped serially) into one global PRF sweep and
 /// every anon-matching candidate's MAC into one global MAC sweep, then each
@@ -99,7 +99,8 @@ void plan_verify_exhaustive(const marking::SchemeConfig& cfg,
 /// same "approximate while concurrent" caveat the parallel per-packet path
 /// already carries; verdicts are unaffected.
 void plan_verify_scoped(const marking::SchemeConfig& cfg, const crypto::KeyStore& keys,
-                        const RingIndex& rings, std::span<const net::Packet> packets,
+                        const net::Topology& topo,
+                        std::span<const net::Packet> packets,
                         marking::VerifyResult* results, crypto::PrfCache* cache,
                         util::Counters& metrics, obs::Counter* reports_deduped);
 

@@ -44,17 +44,10 @@ bool any_shared_report(const std::vector<net::Packet>& packets) {
 BatchVerifier::BatchVerifier(const marking::MarkingScheme& scheme,
                              const crypto::KeyStore& keys, BatchVerifierConfig cfg,
                              const net::Topology* topo, util::Counters* counters)
-    : BatchVerifier(scheme, keys, cfg,
-                    topo ? std::make_shared<const RingIndex>(*topo) : nullptr, counters) {}
-
-BatchVerifier::BatchVerifier(const marking::MarkingScheme& scheme,
-                             const crypto::KeyStore& keys, BatchVerifierConfig cfg,
-                             std::shared_ptr<const RingIndex> rings,
-                             util::Counters* counters)
     : scheme_(scheme),
       keys_(&keys),
       cfg_(cfg),
-      rings_(std::move(rings)),
+      topo_(topo),
       counters_(counters ? counters : &util::Counters::global()),
       packet_us_(&counters_->registry().histogram(
           cfg.strategy == BatchStrategy::kScoped ? "verify_packet_us_scoped"
@@ -63,7 +56,7 @@ BatchVerifier::BatchVerifier(const marking::MarkingScheme& scheme,
       reports_deduped_(&counters_->registry().counter("sink_reports_deduped")),
       pnm_(dynamic_cast<const marking::PnmScheme*>(&scheme)),
       threads_(resolve_threads(cfg.threads)) {
-  if (cfg_.strategy == BatchStrategy::kScoped && rings_ == nullptr) {
+  if (cfg_.strategy == BatchStrategy::kScoped && topo_ == nullptr) {
     throw std::invalid_argument("BatchVerifier: scoped strategy needs a topology");
   }
   cache_.bind_entries_gauge(&counters_->registry().gauge("prf_cache_entries"));
@@ -72,7 +65,7 @@ BatchVerifier::BatchVerifier(const marking::MarkingScheme& scheme,
 marking::VerifyResult BatchVerifier::verify_one(const net::Packet& p) {
   const crypto::KeyStore& keys = *keys_.load(std::memory_order_acquire);
   if (cfg_.strategy == BatchStrategy::kScoped) {
-    return scoped_verify_pnm(p, keys, *rings_, scheme_.config(), nullptr,
+    return scoped_verify_pnm(p, keys, *topo_, scheme_.config(), nullptr,
                              cfg_.use_cache ? &cache_ : nullptr, counters_);
   }
   if (pnm_ != nullptr) return pnm_->verify(p, keys, *counters_);
@@ -114,7 +107,7 @@ std::vector<marking::VerifyResult> BatchVerifier::verify_batch(
     auto c0 = std::chrono::steady_clock::now();
     std::span<const net::Packet> span(packets.data() + begin, end - begin);
     if (cfg_.strategy == BatchStrategy::kScoped) {
-      plan_verify_scoped(scheme_.config(), keys, *rings_, span, results.data() + begin,
+      plan_verify_scoped(scheme_.config(), keys, *topo_, span, results.data() + begin,
                          cfg_.use_cache ? &cache_ : nullptr, *counters_,
                          reports_deduped_);
     } else {
@@ -188,12 +181,10 @@ VerifierBank::VerifierBank(const marking::MarkingScheme& scheme,
                            BatchVerifierConfig cfg, const net::Topology* topo,
                            util::Counters* counters) {
   if (lanes == 0) lanes = 1;
-  std::shared_ptr<const RingIndex> rings =
-      topo ? std::make_shared<const RingIndex>(*topo) : nullptr;
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
     lanes_.push_back(
-        std::make_unique<BatchVerifier>(scheme, keys, cfg, rings, counters));
+        std::make_unique<BatchVerifier>(scheme, keys, cfg, topo, counters));
   }
 }
 

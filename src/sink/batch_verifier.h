@@ -26,7 +26,6 @@
 #include "marking/scheme.h"
 #include "net/topology.h"
 #include "sink/batch_plan.h"
-#include "sink/ring_index.h"
 #include "util/counters.h"
 #include "util/thread_pool.h"
 
@@ -67,17 +66,11 @@ struct BatchVerifierConfig {
 
 class BatchVerifier {
  public:
-  /// `topo` is required for BatchStrategy::kScoped and ignored otherwise;
-  /// the verifier indexes its rings (sink/ring_index.h). `counters` defaults
-  /// to util::Counters::global() when null; every PNM verify, in either
-  /// strategy and pack mode, meters into it.
+  /// `topo` is required for BatchStrategy::kScoped and ignored otherwise.
+  /// `counters` defaults to util::Counters::global() when null; every PNM
+  /// verify, in either strategy and pack mode, meters into it.
   BatchVerifier(const marking::MarkingScheme& scheme, const crypto::KeyStore& keys,
                 BatchVerifierConfig cfg = {}, const net::Topology* topo = nullptr,
-                util::Counters* counters = nullptr);
-  /// Same, over a ring index shared with other verifiers (a VerifierBank's
-  /// lanes): each anchor's rings are built once for all of them.
-  BatchVerifier(const marking::MarkingScheme& scheme, const crypto::KeyStore& keys,
-                BatchVerifierConfig cfg, std::shared_ptr<const RingIndex> rings,
                 util::Counters* counters = nullptr);
 
   /// Verify every packet; results[i] corresponds to packets[i]. Worker
@@ -106,7 +99,7 @@ class BatchVerifier {
   const marking::MarkingScheme& scheme_;
   std::atomic<const crypto::KeyStore*> keys_;
   BatchVerifierConfig cfg_;
-  std::shared_ptr<const RingIndex> rings_;  ///< null without a topology
+  const net::Topology* topo_;
   util::Counters* counters_;
   obs::Histogram* packet_us_;        ///< per-packet verify latency, per strategy
   obs::Gauge* cache_hit_ratio_ppm_;  ///< hits/(hits+misses) in parts-per-million
@@ -123,11 +116,11 @@ class BatchVerifier {
 /// the shard-aware face of the batch engine. Each lane owns its PrfCache, so
 /// a flow-affine router gives every flow's PRF probes a private, contention-
 /// free cache that stays hot for that flow — and concurrent verify_batch
-/// calls on distinct lanes share no mutable state but the registry
-/// instruments (thread-safe) and one RingIndex over the topology, whose
-/// per-anchor rings are published once and immutable after. Verdicts are
-/// lane-independent: every lane runs the exact same per-packet code path, so
-/// which lane verifies a packet can never change its result.
+/// calls on distinct lanes never share mutable state (each lane is its own
+/// BatchVerifier; the registry instruments they report into are the shared,
+/// thread-safe ones). Verdicts are lane-independent: every lane runs the
+/// exact same per-packet code path, so which lane verifies a packet can
+/// never change its result.
 class VerifierBank {
  public:
   VerifierBank(const marking::MarkingScheme& scheme, const crypto::KeyStore& keys,

@@ -6,12 +6,11 @@
 
 namespace pnm::sink {
 
-bool RingWalk::load(const RingIndex& rings, std::size_t key_count,
-                    const crypto::PrfCache* cache, std::uint64_t report_key,
-                    std::size_t anon_len) {
+bool RingWalk::load(std::size_t key_count, const crypto::PrfCache* cache,
+                    std::uint64_t report_key, std::size_t anon_len) {
   anon_len_ = anon_len;
   cands_.clear();
-  for (NodeId candidate : rings.ring(anchor_, ring_)) {
+  for (NodeId candidate : layers_.ring()) {
     if (candidate == kSinkId || candidate >= key_count) continue;
     cands_.push_back(candidate);
   }
@@ -31,7 +30,7 @@ bool RingWalk::load(const RingIndex& rings, std::size_t key_count,
 
 marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                                         const crypto::KeyStore& keys,
-                                        const RingIndex& rings,
+                                        const net::Topology& topo,
                                         const marking::SchemeConfig& cfg,
                                         ScopedVerifyStats* stats,
                                         crypto::PrfCache* cache,
@@ -44,10 +43,10 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
 
   const std::uint64_t rkey = cache ? crypto::PrfCache::report_key(p.report) : 0;
   // The network diameter bounds every honest gap between consecutive marks.
-  const std::size_t ring_bound = rings.node_count();
+  const std::size_t ring_bound = topo.node_count();
 
   ScopedVerifyStats local;
-  NodeId anchor = (p.delivered_by != kInvalidNode && p.delivered_by < rings.node_count())
+  NodeId anchor = (p.delivered_by != kInvalidNode && p.delivered_by < topo.node_count())
                       ? p.delivered_by
                       : kSinkId;
 
@@ -59,14 +58,14 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
 
     if (m.id_field.size() == cfg.anon_len) {
       Bytes input = marking::nested_mac_input(p, j, m.id_field);
-      walk.start(anchor);
+      walk.start(topo, anchor);
       bool grew = false;
       do {
         if (walk.ring() > 1) ++local.ring_expansions;
         // One ring: its candidates, one cache probe, then the misses in one
         // multi-lane sweep. Lanes may compute past the resolving candidate;
         // that speculation is unmetered, and every computed value is cached.
-        grew = walk.load(rings, keys.size(), cache, rkey, cfg.anon_len);
+        grew = walk.load(keys.size(), cache, rkey, cfg.anon_len);
         if (!walk.miss_ids().empty()) {
           swept.resize(walk.miss_ids().size() * cfg.anon_len);
           crypto::anon_id_batch(keys, p.report, walk.miss_ids(), cfg.anon_len,
@@ -100,17 +99,6 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
     stats->ring_expansions += local.ring_expansions;
   }
   return out;
-}
-
-marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
-                                        const crypto::KeyStore& keys,
-                                        const net::Topology& topo,
-                                        const marking::SchemeConfig& cfg,
-                                        ScopedVerifyStats* stats,
-                                        crypto::PrfCache* cache,
-                                        util::Counters* counters) {
-  const RingIndex rings(topo);
-  return scoped_verify_pnm(p, keys, rings, cfg, stats, cache, counters);
 }
 
 }  // namespace pnm::sink

@@ -10,10 +10,11 @@
 // Expected cost tracks the typical mark gap (~1/p hops), far below network
 // size.
 //
-// The rings come precomputed from a RingIndex (sink/ring_index.h): ring 1 is
-// the anchor and its neighbors, ring r the nodes exactly r hops out, each
-// walked in ascending id order. RingWalk is the one walker over them, shared
-// by scoped_verify_pnm and the cross-packet planner (sink/batch_plan.h).
+// The rings come from a RingLayers search (sink/ring_layers.h) that expands
+// one layer per widening: ring 1 is the anchor and its neighbors, ring r the
+// nodes exactly r hops out, each walked in ascending id order. RingWalk is
+// the one walker over them, shared by scoped_verify_pnm and the cross-packet
+// planner (sink/batch_plan.h).
 //
 // The result is bit-identical to PnmScheme::verify (asserted by tests); only
 // the search order — and therefore the hash count — differs.
@@ -27,7 +28,7 @@
 #include "crypto/prf_cache.h"
 #include "marking/scheme.h"
 #include "net/topology.h"
-#include "sink/ring_index.h"
+#include "sink/ring_layers.h"
 #include "util/counters.h"
 
 namespace pnm::sink {
@@ -50,18 +51,15 @@ class RingWalk {
     std::size_t macs = 0;    ///< MAC checks among them
   };
 
-  /// Start a mark's search at ring 1 around `anchor`.
-  void start(NodeId anchor) {
-    anchor_ = anchor;
-    ring_ = 1;
-  }
-  std::size_t ring() const { return ring_; }
+  /// Start a mark's search at ring 1 around `anchor`, a node of `topo`.
+  void start(const net::Topology& topo, NodeId anchor) { layers_.start(topo, anchor); }
+  std::size_t ring() const { return layers_.radius(); }
 
   /// Load the current ring: its candidates (every node but the sink with an
   /// id below `key_count`, ascending), then one batch probe of `cache` (null:
   /// every candidate misses). Returns false when the ring holds no candidate:
   /// the search has covered the anchor's whole component.
-  bool load(const RingIndex& rings, std::size_t key_count, const crypto::PrfCache* cache,
+  bool load(std::size_t key_count, const crypto::PrfCache* cache,
             std::uint64_t report_key, std::size_t anon_len);
 
   std::span<const NodeId> candidates() const { return cands_; }
@@ -89,14 +87,13 @@ class RingWalk {
   /// Widen past an unresolved ring. False when the search is over: the ring
   /// held no candidate (`grew` false) or ring `bound` was the last allowed.
   bool advance(bool grew, std::size_t bound) {
-    if (!grew || ring_ + 1 > bound) return false;
-    ++ring_;
+    if (!grew || ring() + 1 > bound) return false;
+    layers_.next();
     return true;
   }
 
  private:
-  NodeId anchor_ = kSinkId;
-  std::size_t ring_ = 1;
+  RingLayers layers_;
   std::size_t anon_len_ = 0;
   std::vector<NodeId> cands_;
   std::vector<std::uint8_t> anons_;  ///< cands_.size() * anon_len_ bytes
@@ -137,18 +134,9 @@ RingWalk::Step RingWalk::walk(ByteView id_field, bool cached, util::Counters& me
 ///
 /// `cache` memoizes PRF probes across marks and packets (the result is
 /// unchanged — only recomputation is skipped); `counters` receives metric
-/// increments, defaulting to util::Counters::global() when null. The rings,
-/// the cache and the counters are all safe to share across threads.
-marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
-                                        const crypto::KeyStore& keys,
-                                        const RingIndex& rings,
-                                        const marking::SchemeConfig& cfg,
-                                        ScopedVerifyStats* stats = nullptr,
-                                        crypto::PrfCache* cache = nullptr,
-                                        util::Counters* counters = nullptr);
-
-/// One-off form over a bare topology: indexes the rings for this packet
-/// alone. Long-lived verifiers hold a RingIndex and use the form above.
+/// increments, defaulting to util::Counters::global() when null. The
+/// topology, the cache and the counters are all safe to share across
+/// threads; each thread walks rings with its own reused buffers.
 marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                                         const crypto::KeyStore& keys,
                                         const net::Topology& topo,

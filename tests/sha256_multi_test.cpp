@@ -564,6 +564,63 @@ TEST(Sha256MultiTest, PrfCacheHitsBypassLanePackingWithoutChangingResults) {
   EXPECT_TRUE(same(no_cache, warm));
 }
 
+// The cache cap is a total across shards. Every entry of one report lives in
+// one shard, so a report whose search covers more nodes than one shard's
+// share of the cap must still stay cached whole.
+TEST(Sha256MultiTest, PrfCacheKeepsAReportLargerThanOneShardShare) {
+  constexpr std::size_t kNodes = (1 << 15) + 7000;
+  constexpr std::size_t kAnonLen = 4;
+  PrfCache cache;
+  const std::uint64_t rkey = PrfCache::report_key(Bytes{9, 9, 9});
+  std::vector<NodeId> ring;
+  std::vector<std::uint8_t> values;
+  for (std::size_t begin = 1; begin <= kNodes; begin += 1000) {  // ring by ring
+    ring.clear();
+    values.clear();
+    for (std::size_t v = begin; v < begin + 1000 && v <= kNodes; ++v) {
+      ring.push_back(static_cast<NodeId>(v));
+      for (std::size_t b = 0; b < kAnonLen; ++b)
+        values.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+    cache.insert(rkey, ring, kAnonLen, values.data());
+  }
+  EXPECT_EQ(cache.size(), kNodes);
+
+  std::vector<NodeId> all(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) all[i] = static_cast<NodeId>(i + 1);
+  std::vector<std::uint8_t> out(kNodes * kAnonLen), hit(kNodes);
+  cache.lookup(rkey, all, kAnonLen, out.data(), hit.data());
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    ASSERT_EQ(hit[i], 1) << "node " << all[i] << " was evicted";
+    for (std::size_t b = 0; b < kAnonLen; ++b)
+      ASSERT_EQ(out[i * kAnonLen + b], static_cast<std::uint8_t>(all[i] >> (8 * b)));
+  }
+}
+
+TEST(Sha256MultiTest, PrfCacheFlushesWholeAtItsTotalCap) {
+  PrfCache cache(4, 100);
+  const std::vector<std::uint8_t> values(60, 0xab);
+  auto nodes = [](NodeId first, std::size_t count) {
+    std::vector<NodeId> out(count);
+    for (std::size_t i = 0; i < count; ++i) out[i] = first + static_cast<NodeId>(i);
+    return out;
+  };
+  const std::uint64_t a = PrfCache::report_key(Bytes{1});
+  const std::uint64_t b = PrfCache::report_key(Bytes{2});
+  const std::uint64_t c = PrfCache::report_key(Bytes{3});
+  cache.insert(a, nodes(1, 60), 1, values.data());
+  cache.insert(b, nodes(1, 40), 1, values.data());
+  EXPECT_EQ(cache.size(), 100u);
+  cache.insert(c, nodes(1, 5), 1, values.data());  // would pass the cap: flush
+  EXPECT_EQ(cache.size(), 5u);
+
+  std::vector<std::uint8_t> out(60), hit(60);
+  cache.lookup(a, nodes(1, 60), 1, out.data(), hit.data());
+  EXPECT_EQ(std::count(hit.begin(), hit.end(), 1), 0);
+  cache.lookup(c, nodes(1, 5), 1, out.data(), hit.data());
+  EXPECT_EQ(std::count(hit.begin(), hit.begin() + 5, 1), 5);
+}
+
 // Scoped and exhaustive verification agree on every backend (the paper's
 // §7 equivalence, now also a backend-dispatch property).
 TEST(Sha256MultiTest, ScopedMatchesExhaustiveEveryBackend) {

@@ -1,22 +1,14 @@
 // Simulator event-core microbenchmarks (google-benchmark):
 //
-//   BM_SimulatorEvents       — raw event-dispatch rate (events/s) on the
-//                              typed-slab + calendar-queue core: a 1k-node
-//                              chain flooded from 50 sources, no marking or
-//                              crypto, so the queue and dispatch dominate;
-//   BM_SimulatorEventsLegacy — the identical flood on the retained
-//                              std::function/priority_queue core — the
-//                              pre-rewrite baseline the ≥3× target in
-//                              BENCH_8.json is measured against;
-//   BM_CampaignSweep         — whole campaign sweeps (attacks × seeds of
-//                              run_chain_experiment) through
-//                              net::CampaignRunner at --jobs = Arg(0);
-//                              items/s is runs/s, the cross-run throughput
-//                              axis (scaling is machine-dependent; the
-//                              recorder stores num_cpus alongside).
-//
-// Both flood variants assert the same delivery count, so the speedup
-// comparison is between bit-identical workloads.
+//   BM_SimulatorEvents — raw event-dispatch rate (events/s) on the
+//                        typed-slab + calendar-queue core: a 1k-node chain
+//                        flooded from 50 sources, no marking or crypto, so
+//                        the queue and dispatch dominate;
+//   BM_CampaignSweep   — whole campaign sweeps (attacks × seeds of
+//                        run_chain_experiment) through net::CampaignRunner at
+//                        --jobs = Arg(0); items/s is runs/s, the cross-run
+//                        throughput axis (scaling is machine-dependent; the
+//                        recorder stores num_cpus alongside).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -33,7 +25,7 @@ constexpr std::size_t kForwarders = 1000;  // 1002 nodes with sink + source
 // Flood: 50 sources spaced along the chain, 10 packets each, paced 1 ms
 // apart — deep per-node tx queues, dense same-time clusters, and kCall
 // pacing events all land in the calendar.
-void run_flood(benchmark::State& state, pnm::net::EventCoreImpl impl) {
+void BM_SimulatorEvents(benchmark::State& state) {
   pnm::net::Topology topo = pnm::net::Topology::chain(kForwarders);
   pnm::net::RoutingTable routing(topo, pnm::net::RoutingStrategy::kTree);
   std::size_t total_events = 0;
@@ -42,7 +34,6 @@ void run_flood(benchmark::State& state, pnm::net::EventCoreImpl impl) {
     state.PauseTiming();
     pnm::net::Simulator sim(topo, routing, pnm::net::LinkModel{},
                             pnm::net::EnergyModel{}, 42);
-    sim.set_event_core(impl);
     for (std::size_t s = 0; s < 50; ++s) {
       pnm::NodeId src = static_cast<pnm::NodeId>(kForwarders + 1 - s * 20);
       for (std::size_t i = 0; i < 10; ++i) {
@@ -73,16 +64,7 @@ void run_flood(benchmark::State& state, pnm::net::EventCoreImpl impl) {
       static_cast<double>(total_events) /
       static_cast<double>(state.iterations() ? state.iterations() : 1);
 }
-
-void BM_SimulatorEvents(benchmark::State& state) {
-  run_flood(state, pnm::net::EventCoreImpl::kCalendar);
-}
 BENCHMARK(BM_SimulatorEvents)->Unit(benchmark::kMillisecond);
-
-void BM_SimulatorEventsLegacy(benchmark::State& state) {
-  run_flood(state, pnm::net::EventCoreImpl::kLegacyHeap);
-}
-BENCHMARK(BM_SimulatorEventsLegacy)->Unit(benchmark::kMillisecond);
 
 void BM_CampaignSweep(benchmark::State& state) {
   pnm::core::SweepConfig cfg;

@@ -20,14 +20,13 @@
 //                          scaling axis; threads=1 is the serial baseline);
 //   BM_BatchVerifyScoped — same sweep through the §7 scoped search with the
 //                          sharded PRF memo cache;
-//   BM_CrossPacketVerify — the cross-packet batch planner (--pack-mode=cross,
-//                          the default) vs the per-packet baseline on a
-//                          duplicate-heavy 64-flow batch: flows re-deliver
-//                          the same report, so the planner shares one
-//                          AnonIdTable per distinct report and packs every
-//                          packet's PRF/MAC lanes into global sweeps. The
-//                          cross/packet ratio is this tentpole's acceptance
-//                          number recorded by scripts/bench_record.py.
+//   BM_CrossPacketVerify — a duplicate-heavy 64-flow batch through the
+//                          exhaustive batch engine: flows re-deliver the same
+//                          report, so each report group shares one lazily
+//                          grown AnonIdTable. Two rows: 20 hops in a 1000-node
+//                          key space (sparse markers, early exit after the
+//                          first sweep chunks) and a 200-hop chain whose
+//                          markers span every id (sweeps run near the end).
 //
 // After the benchmark run, the global metrics registry is scraped and dumped
 // as one JSON line ("metrics: {...}") so CI and scripts can scrape PRF/MAC/
@@ -266,9 +265,9 @@ void BM_BatchVerifyScoped(benchmark::State& state) {
 BENCHMARK(BM_BatchVerifyScoped)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 // Duplicate-heavy flow traffic: `packets` deliveries spread over `flows`
-// distinct reports. Re-delivered flows are exactly what the cross-packet
-// planner dedups — one shared table per distinct report — while marks still
-// differ per delivery (independent marking draws).
+// distinct reports. Re-delivered flows share one table per report group in
+// the batch engine, while marks still differ per delivery (independent
+// marking draws).
 std::vector<pnm::net::Packet> flow_workload(const pnm::crypto::KeyStore& keys,
                                             const pnm::marking::MarkingScheme& scheme,
                                             std::size_t packets, std::size_t flows,
@@ -290,12 +289,12 @@ std::vector<pnm::net::Packet> flow_workload(const pnm::crypto::KeyStore& keys,
   return out;
 }
 
-// Cross-packet planner vs per-packet baseline, single worker so the ratio
-// isolates lane packing + table dedup (not thread scaling). Arg: 0 = packet
-// (per-packet baseline), 1 = cross (the planner, the default pack mode).
+// Single worker, so the timing isolates table sharing (not thread scaling).
+// Args: hops, nodes (key-space size).
 void BM_CrossPacketVerify(benchmark::State& state) {
-  const bool cross = state.range(0) != 0;
-  std::size_t nodes = 1000, hops = 20, packets = 256, flows = 64;
+  const auto hops = static_cast<std::size_t>(state.range(0));
+  const auto nodes = static_cast<std::size_t>(state.range(1));
+  std::size_t packets = 256, flows = 64;
   pnm::crypto::KeyStore keys(master(), nodes);
   pnm::marking::SchemeConfig cfg;
   cfg.mark_probability = 3.0 / static_cast<double>(hops);
@@ -304,12 +303,10 @@ void BM_CrossPacketVerify(benchmark::State& state) {
 
   pnm::sink::BatchVerifierConfig bcfg;
   bcfg.threads = 1;
-  bcfg.pack_mode = cross ? pnm::sink::PackMode::kCross : pnm::sink::PackMode::kPacket;
   pnm::sink::BatchVerifier engine(*scheme, keys, bcfg);
 
-  // Bracket the timed loop with lane-occupancy snapshots: the mean jobs per
-  // multi-buffer sweep is the planner's whole mechanism, so the per-mode
-  // delta lands in BENCH_10.json's cross_packet section next to the ratio.
+  // Bracket the timed loop with lane-occupancy snapshots: mean jobs per
+  // multi-buffer sweep.
   pnm::obs::Histogram& lanes =
       pnm::obs::MetricsRegistry::global().histogram("crypto_lanes_filled");
   auto lanes0 = lanes.snapshot();
@@ -320,12 +317,10 @@ void BM_CrossPacketVerify(benchmark::State& state) {
   const double sweeps = static_cast<double>(lanes1.count - lanes0.count);
   state.counters["lanes_mean"] =
       sweeps > 0.0 ? static_cast<double>(lanes1.sum - lanes0.sum) / sweeps : 0.0;
-  // Sweeps per packet is where report dedup shows up at this network size:
-  // per-packet mode rebuilds a full-lane table for every duplicate report,
-  // cross mode builds it once per distinct report.
+  // Sweeps per packet is where table sharing shows up: a duplicate report
+  // sweeps only past the rows an earlier packet of its group already swept.
   state.counters["sweeps_per_pkt"] =
       sweeps / static_cast<double>(state.iterations() * workload.size());
-  state.SetLabel(pnm::sink::pack_mode_name(*bcfg.pack_mode));
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * workload.size()));
   state.counters["flows"] = static_cast<double>(flows);
@@ -333,7 +328,10 @@ void BM_CrossPacketVerify(benchmark::State& state) {
       static_cast<double>(state.iterations() * workload.size()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_CrossPacketVerify)->Arg(0)->Arg(1);
+BENCHMARK(BM_CrossPacketVerify)
+    ->ArgNames({"hops", "nodes"})
+    ->Args({20, 1000})
+    ->Args({200, 201});
 
 }  // namespace
 

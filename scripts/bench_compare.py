@@ -25,11 +25,6 @@ import argparse
 import json
 import sys
 
-# BM_SimulatorEvents also matches BM_SimulatorEventsLegacy by prefix — that's
-# intentional: the legacy core stays in-tree as the measurement baseline, and
-# both floods share the scheduling/dispatch path outside the queue, so a
-# slowdown on either one is a real regression (neither is required to improve;
-# the gate only fires on new/old past the tolerance).
 DEFAULT_GATES = [
     "BM_ReplayPipeline",
     "BM_BatchVerify",
@@ -153,21 +148,6 @@ def main():
             f"{'FAIL' if serve_failed else 'ok'}"
         )
 
-    # Event-core gate: a record carrying a "sim_event_core" section (BENCH_8+)
-    # must hold the calendar-queue core at or above its recorded speedup target
-    # over the retained legacy heap core — the ≥3x dispatch-rate win is part of
-    # the trajectory contract, same as the serve-plane ratio above.
-    sim_core = new_record.get("sim_event_core")
-    sim_core_failed = bool(sim_core) and not sim_core.get("meets_target", False)
-    if sim_core and "speedup" in sim_core:
-        print(
-            f"sim event core: {sim_core['speedup']:.3f}x over legacy heap "
-            f"(target {sim_core['target']}x) -> "
-            f"{'FAIL' if sim_core_failed else 'ok'}"
-        )
-    elif sim_core:
-        print("sim event core: section present but speedup missing -> FAIL")
-
     # Provenance-overhead gate: a record carrying a "provenance_overhead"
     # section (BENCH_9+) must hold always-on tracing at or under its recorded
     # on/off budget — observability that taxes the hot path more than ~2%
@@ -183,38 +163,13 @@ def main():
     elif prov:
         print("provenance overhead: section present but ratio missing -> FAIL")
 
-    # Cross-packet gate: a record carrying a "cross_packet" section (BENCH_10+)
-    # must hold the batch planner at or above its recorded speedup target over
-    # the per-packet baseline on the duplicate-heavy flow batch — lane packing
-    # that no longer pays for its bookkeeping is a trajectory regression.
-    cross = new_record.get("cross_packet")
-    cross_failed = bool(cross) and not cross.get("meets_target", False)
-    if cross and "speedup" in cross:
-        print(
-            f"cross-packet planner: {cross['speedup']:.3f}x over "
-            f"--pack-mode=packet (target {cross['target']}x) -> "
-            f"{'FAIL' if cross_failed else 'ok'}"
-        )
-    elif cross:
-        print("cross-packet planner: section present but speedup missing -> FAIL")
-
-    verdict = (
-        "fail"
-        if (
-            regressed
-            or serve_failed
-            or sim_core_failed
-            or prov_failed
-            or cross_failed
-        )
-        else "pass"
-    )
+    verdict = "fail" if (regressed or serve_failed or prov_failed) else "pass"
     if args.out:
         with open(args.out, "w") as f:
             json.dump(
                 {"old": args.old, "new": args.new, "tolerance": args.tolerance,
-                 "gates": gates, "serve": serve_vs, "sim_event_core": sim_core,
-                 "provenance_overhead": prov, "cross_packet": cross,
+                 "gates": gates, "serve": serve_vs,
+                 "provenance_overhead": prov,
                  "verdict": verdict, "rows": rows},
                 f, indent=2, sort_keys=True)
             f.write("\n")
@@ -241,24 +196,10 @@ def main():
             file=sys.stderr,
         )
         raise SystemExit(1)
-    if sim_core_failed:
-        print(
-            f"\nFAIL: sim event core at {sim_core.get('speedup', '?')}x over "
-            f"legacy heap (target {sim_core.get('target', '?')}x)",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
     if prov_failed:
         print(
             f"\nFAIL: provenance overhead at {prov.get('overhead', '?')}x of "
             f"the untraced replay (target <= {prov.get('target', '?')}x)",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-    if cross_failed:
-        print(
-            f"\nFAIL: cross-packet planner at {cross.get('speedup', '?')}x over "
-            f"--pack-mode=packet (target {cross.get('target', '?')}x)",
             file=sys.stderr,
         )
         raise SystemExit(1)

@@ -32,18 +32,12 @@ suites, the serve run keeps the fastest of --serve-best-of attempts, since
 slow runs on shared recorders are interference, not code. --skip-serve
 omits the section (for machines without loopback networking).
 
-Since BENCH_8 the record also carries the simulator event-core suite
-(bench/sim_core):
-
-  * a "sim_event_core" speedup section — BM_SimulatorEvents (typed-slab +
-    calendar-queue core) against BM_SimulatorEventsLegacy (the retained
-    std::function/priority_queue core) on the identical 1k-node flood
-    (target: >= 3x; both variants live in the same binary, so the baseline
-    is an honest same-build measurement, not a stale number);
-  * a "campaign_scaling" summary — BM_CampaignSweep runs/s at --jobs
-    {1,2,4} with num_cpus for context. Like shard_scaling, jobs scaling is
-    physically bounded by the recorder's core count (a 1-core machine shows
-    ~1x by construction), so it is informational and never gated by --check.
+Since BENCH_8 the record also carries the simulator suite (bench/sim_core):
+BM_SimulatorEvents rows and a "campaign_scaling" summary — BM_CampaignSweep
+runs/s at --jobs {1,2,4} with num_cpus for context. Like shard_scaling, jobs
+scaling is physically bounded by the recorder's core count (a 1-core machine
+shows ~1x by construction), so it is informational and never gated by
+--check.
 
 Since BENCH_9 the record also carries a "provenance_overhead" section:
 BM_ProvenanceOverhead runs the single-shard replay pipeline twice in the
@@ -51,14 +45,9 @@ same binary — provenance sampling off (Arg 0) and at the default 1-in-64
 rate (Arg 1) — and the section stores the on/off real-time ratio (target:
 <= 1.02, i.e. always-on tracing must cost under 2%).
 
-Since BENCH_10 the record also carries a "cross_packet" section:
-BM_CrossPacketVerify runs the identical duplicate-heavy 64-flow batch
-(256 packets, 4 deliveries per flow) through both pack modes in the same
-binary — the per-packet baseline (Arg 0, --pack-mode=packet) and the
-cross-packet batch planner (Arg 1, --pack-mode=cross, the default) — and
-the section stores the packet/cross real-time ratio (target: >= 1.5x; the
-planner's report dedup plus global PRF/MAC lane packing must pay for its
-bookkeeping with room to spare).
+The sink suite also records BM_CrossPacketVerify, the duplicate-heavy
+64-flow batch (256 packets, 4 deliveries per flow) through the exhaustive
+batch engine, as plain rows.
 
 Usage: scripts/bench_record.py [--build-dir build] [--out BENCH_10.json]
                                [--min-time 0.5]
@@ -94,11 +83,7 @@ FILTERS = {
 # record them once under runtime dispatch instead of the scalar/auto pair.
 SHA_AGNOSTIC_SUITES = {"sim_core"}
 
-SIM_EVENT_CORE_TARGET = 3.0
-
 PROVENANCE_OVERHEAD_TARGET = 1.02  # on/off ratio: tracing costs under 2%
-
-CROSS_PACKET_TARGET = 1.5  # packet/cross ratio on the duplicate-heavy batch
 
 
 def run_bench(binary, bench_filter, min_time, backend_env):
@@ -137,8 +122,7 @@ def times_by_name(doc):
             "label": b.get("label", ""),
         }
         # BM_CrossPacketVerify exports the mean multi-buffer sweep occupancy
-        # it observed; keep it with the row so the cross_packet section can
-        # show the lane-packing mechanism next to the speedup.
+        # and sweeps per packet it observed; keep them with the row.
         if "lanes_mean" in b:
             row["lanes_mean"] = b["lanes_mean"]
         if "sweeps_per_pkt" in b:
@@ -264,7 +248,7 @@ def main():
         help="seed the fastest-per-key merge with a previous record from the "
         "SAME recorder and code revision — --best-of across invocations, for "
         "when one noisy window spoils a single row. Raw suite times merge "
-        "per-key fastest; ratio sections (speedups, sim_event_core, scaling) "
+        "per-key fastest; ratio sections (speedups, scaling) "
         "stay same-invocation pairs and merge by best ratio, because a "
         "numerator and denominator from different load windows is not a "
         "measurement of anything",
@@ -399,36 +383,7 @@ def main():
             section = prev_section
         record["shard_scaling"] = section
 
-    # Event-core speedup: the calendar-queue rewrite against the retained
-    # legacy heap core on the byte-identical flood. Both run in the same
-    # binary under runtime dispatch, so the ratio is a same-build measurement.
     sim = fresh.get("sim_core", {}).get("auto", {})
-    new_row = sim.get("BM_SimulatorEvents")
-    legacy_row = sim.get("BM_SimulatorEventsLegacy")
-    if new_row and legacy_row:
-        speedup = (
-            legacy_row["real_time_ns"] / new_row["real_time_ns"]
-            if new_row["real_time_ns"]
-            else 0.0
-        )
-        section = {
-            "benchmark": "BM_SimulatorEvents",
-            "legacy_ns": legacy_row["real_time_ns"],
-            "calendar_ns": new_row["real_time_ns"],
-            "legacy_events_per_s": legacy_row.get("items_per_second"),
-            "calendar_events_per_s": new_row.get("items_per_second"),
-            "speedup": round(speedup, 3),
-            "target": SIM_EVENT_CORE_TARGET,
-            "meets_target": speedup >= SIM_EVENT_CORE_TARGET,
-        }
-        prev_section = prev.get("sim_event_core", {})
-        if prev_section.get("speedup", 0.0) > section["speedup"]:
-            section = prev_section
-        record["sim_event_core"] = section
-        ok = ok and section["speedup"] >= SIM_EVENT_CORE_TARGET
-    elif "sim_core" in record["suites"]:
-        record["sim_event_core"] = {"error": "benchmark not found"}
-        ok = False
 
     # Campaign jobs-scaling: BM_CampaignSweep runs/s at --jobs {1,2,4}, with
     # the recorder's core count — same caveat as shard_scaling, informational.
@@ -495,42 +450,6 @@ def main():
         record["provenance_overhead"] = {"error": "benchmark not found"}
         ok = False
 
-    # Cross-packet planner speedup: the per-packet baseline against the batch
-    # planner on the byte-identical duplicate-heavy 64-flow batch. Both pack
-    # modes run in the same binary and invocation, so the ratio is an honest
-    # same-build A/B, like sim_event_core.
-    sink = fresh.get("sink_throughput", {}).get("auto", {})
-    packet_row = sink.get("BM_CrossPacketVerify/0")
-    cross_row = sink.get("BM_CrossPacketVerify/1")
-    if packet_row and cross_row:
-        speedup = (
-            packet_row["real_time_ns"] / cross_row["real_time_ns"]
-            if cross_row["real_time_ns"]
-            else 0.0
-        )
-        section = {
-            "benchmark": "BM_CrossPacketVerify",
-            "packet_ns": packet_row["real_time_ns"],
-            "cross_ns": cross_row["real_time_ns"],
-            "packet_pkts_per_s": packet_row.get("items_per_second"),
-            "cross_pkts_per_s": cross_row.get("items_per_second"),
-            "packet_lanes_mean": packet_row.get("lanes_mean"),
-            "cross_lanes_mean": cross_row.get("lanes_mean"),
-            "packet_sweeps_per_pkt": packet_row.get("sweeps_per_pkt"),
-            "cross_sweeps_per_pkt": cross_row.get("sweeps_per_pkt"),
-            "speedup": round(speedup, 3),
-            "target": CROSS_PACKET_TARGET,
-            "meets_target": speedup >= CROSS_PACKET_TARGET,
-        }
-        prev_section = prev.get("cross_packet", {})
-        if prev_section.get("speedup", 0.0) > section["speedup"]:
-            section = prev_section
-        record["cross_packet"] = section
-        ok = ok and section["speedup"] >= CROSS_PACKET_TARGET
-    elif "sink_throughput" in record["suites"]:
-        record["cross_packet"] = {"error": "benchmark not found"}
-        ok = False
-
     if not args.skip_serve:
         loadgen, traces = run_serve_bench(
             args.build_dir, args.serve_packets, args.serve_shards,
@@ -595,30 +514,12 @@ def main():
             f"shard scaling: {ss['speedup_at_max_shards']}x at "
             f"{ss['shards']['max']} shards (num_cpus={ss['num_cpus']})"
         )
-    sec = record.get("sim_event_core")
-    if sec and "speedup" in sec:
-        print(
-            f"sim event core: {sec['speedup']}x over legacy heap "
-            f"(target {sec['target']}x, "
-            f"{sec['calendar_events_per_s'] / 1e6:.2f}M events/s)"
-        )
-    elif sec:
-        print("sim event core: MISSING")
     if "campaign_scaling" in record:
         cs = record["campaign_scaling"]
         print(
             f"campaign scaling: {cs['speedup_at_max_jobs']}x at "
             f"{cs['jobs']['max']} jobs (num_cpus={cs['num_cpus']})"
         )
-    cp = record.get("cross_packet")
-    if cp and "speedup" in cp:
-        print(
-            f"cross-packet planner: {cp['speedup']}x over --pack-mode=packet "
-            f"(target {cp['target']}x, "
-            f"{cp['cross_pkts_per_s'] / 1e3:.2f}k pkts/s)"
-        )
-    elif cp:
-        print("cross-packet planner: MISSING")
     po = record.get("provenance_overhead")
     if po and "overhead" in po:
         print(

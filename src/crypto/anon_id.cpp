@@ -37,54 +37,36 @@ std::size_t build_template(std::uint8_t* slot, ByteView report) {
   return sha256_pad_in_place(slot, len, 64);  // after the ipad block
 }
 
-/// Sweep every job through hmac_batch_padded: each report's template is
-/// replicated per lane with only the two id bytes patched, and all reports'
-/// lanes share one arena and one call, so reports of equal padded length
-/// form one lockstep group in the block core.
-void sweep_blocks(const KeyStore& keys, std::span<const AnonIdSweepJob> sweep_jobs,
-                  std::size_t anon_len) {
-  std::size_t total = 0;
-  std::size_t arena_bytes = 0;
-  for (const AnonIdSweepJob& sj : sweep_jobs) {
-    total += sj.ids.size();
-    arena_bytes += sj.ids.size() * sha256_padded_blocks(5 + sj.report.size()) * 64;
-  }
-  if (total == 0) return;
+/// Sweep `ids` through hmac_batch_padded: the report's template is
+/// replicated per lane with only the two id bytes patched, so every lane has
+/// the same padded length and the block core runs them in lockstep.
+void sweep_blocks(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,
+                  std::size_t anon_len, std::uint8_t* out) {
+  const std::size_t n = ids.size();
+  if (n == 0) return;
+  const std::size_t len = 5 + report.size();
+  const std::size_t stride = sha256_padded_blocks(len) * 64;
 
   thread_local Bytes arena;
   thread_local std::vector<HmacPaddedJob> jobs;
   thread_local std::vector<Sha256Digest> full;
-  arena.resize(arena_bytes);
-  jobs.resize(total);
-  full.resize(total);
+  arena.resize(n * stride);
+  jobs.resize(n);
+  full.resize(n);
 
-  std::size_t lane = 0;
-  std::uint8_t* cursor = arena.data();
-  for (const AnonIdSweepJob& sj : sweep_jobs) {
-    const std::size_t n = sj.ids.size();
-    if (n == 0) continue;
-    const std::size_t len = 5 + sj.report.size();
-    const std::size_t nb = build_template(cursor, sj.report);
-    const std::size_t stride = nb * 64;
-    for (std::size_t i = 1; i < n; ++i) std::memcpy(cursor + i * stride, cursor, stride);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint8_t* slot = cursor + i * stride;
-      slot[len - 2] = static_cast<std::uint8_t>(sj.ids[i]);
-      slot[len - 1] = static_cast<std::uint8_t>(sj.ids[i] >> 8);
-      jobs[lane + i] = {&keys.hmac_key(sj.ids[i]), slot, nb};
-    }
-    lane += n;
-    cursor += n * stride;
+  const std::size_t nb = build_template(arena.data(), report);
+  for (std::size_t i = 1; i < n; ++i)
+    std::memcpy(arena.data() + i * stride, arena.data(), stride);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint8_t* slot = arena.data() + i * stride;
+    slot[len - 2] = static_cast<std::uint8_t>(ids[i]);
+    slot[len - 1] = static_cast<std::uint8_t>(ids[i] >> 8);
+    jobs[i] = {&keys.hmac_key(ids[i]), slot, nb};
   }
 
-  hmac_batch_padded(std::span<const HmacPaddedJob>(jobs.data(), total), full.data());
-
-  lane = 0;
-  for (const AnonIdSweepJob& sj : sweep_jobs) {
-    for (std::size_t i = 0; i < sj.ids.size(); ++i)
-      std::memcpy(sj.out + i * anon_len, full[lane + i].data(), anon_len);
-    lane += sj.ids.size();
-  }
+  hmac_batch_padded(jobs, full.data());
+  for (std::size_t i = 0; i < n; ++i)
+    std::memcpy(out + i * anon_len, full[i].data(), anon_len);
 }
 
 #ifdef PNM_SHA256_AVX512
@@ -95,20 +77,20 @@ void sweep_blocks(const KeyStore& keys, std::span<const AnonIdSweepJob> sweep_jo
 /// ring probe of ~3 — stays on the single-lane path.
 constexpr std::size_t kFusedMinLanes = 6;
 
-/// Run the leading ids of `sj` through the fused 16-lane kernel: every full
-/// group of 16, plus the remainder when it has at least kFusedMinLanes ids.
-/// Returns how many ids it swept (a prefix of sj.ids).
-std::size_t sweep_fused(const KeyStore& keys, const AnonIdSweepJob& sj,
-                        std::size_t anon_len) {
-  const std::size_t n = sj.ids.size();
+/// Run the leading `ids` through the fused 16-lane kernel: every full group
+/// of 16, plus the remainder when it has at least kFusedMinLanes ids.
+/// Returns how many ids it swept (a prefix of `ids`).
+std::size_t sweep_fused(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,
+                        std::size_t anon_len, std::uint8_t* out) {
+  const std::size_t n = ids.size();
   const std::size_t fused = n % 16 >= kFusedMinLanes ? n : n - n % 16;
   if (fused == 0) return 0;
 
   thread_local Bytes slot;
   thread_local std::vector<std::uint32_t> tmpl;
-  const std::size_t len = 5 + sj.report.size();
+  const std::size_t len = 5 + report.size();
   slot.resize(sha256_padded_blocks(len) * 64);
-  const std::size_t nb = build_template(slot.data(), sj.report);
+  const std::size_t nb = build_template(slot.data(), report);
   tmpl.resize(nb * 16);
   for (std::size_t i = 0; i < tmpl.size(); ++i) {
     const std::uint8_t* p = slot.data() + 4 * i;
@@ -119,9 +101,9 @@ std::size_t sweep_fused(const KeyStore& keys, const AnonIdSweepJob& sj,
   const std::uint32_t* rows[16];
   for (std::size_t g = 0; g < fused; g += 16) {
     const std::size_t lanes = std::min<std::size_t>(16, fused - g);
-    for (std::size_t l = 0; l < lanes; ++l) rows[l] = keys.hmac_key(sj.ids[g + l]).words();
-    detail::prf_sweep_x16_avx512(rows, tmpl.data(), nb, len - 2, sj.ids.data() + g, lanes,
-                                 anon_len, sj.out + g * anon_len);
+    for (std::size_t l = 0; l < lanes; ++l) rows[l] = keys.hmac_key(ids[g + l]).words();
+    detail::prf_sweep_x16_avx512(rows, tmpl.data(), nb, len - 2, ids.data() + g, lanes,
+                                 anon_len, out + g * anon_len);
     detail::record_lanes_filled(lanes);
   }
   return fused;
@@ -144,29 +126,15 @@ Bytes anon_id(const HmacKey& node_key, ByteView original_message, NodeId real_id
 
 void anon_id_batch(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,
                    std::size_t anon_len, std::uint8_t* out) {
-  AnonIdSweepJob job{report, ids, out};
-  anon_id_batch_multi(keys, {&job, 1}, anon_len);
-}
-
-void anon_id_batch_multi(const KeyStore& keys, std::span<const AnonIdSweepJob> sweep_jobs,
-                         std::size_t anon_len) {
   assert(anon_len >= 1 && anon_len <= kSha256DigestSize);
+  std::size_t done = 0;
 #ifdef PNM_SHA256_AVX512
-  if (active_sha_backend() == Sha256Backend::kAvx512) {
-    // Each report's sweep runs 16 ids per fused call; what the fused kernel
-    // leaves (a short tail, a scoped probe) goes single-lane.
-    thread_local std::vector<AnonIdSweepJob> rest;
-    rest.clear();
-    for (const AnonIdSweepJob& sj : sweep_jobs) {
-      const std::size_t done = sweep_fused(keys, sj, anon_len);
-      if (done < sj.ids.size())
-        rest.push_back({sj.report, sj.ids.subspan(done), sj.out + done * anon_len});
-    }
-    sweep_blocks(keys, rest, anon_len);
-    return;
-  }
+  // 16 ids per fused call; what the fused kernel leaves (a short tail, a
+  // scoped probe) goes single-lane.
+  if (active_sha_backend() == Sha256Backend::kAvx512)
+    done = sweep_fused(keys, report, ids, anon_len, out);
 #endif
-  sweep_blocks(keys, sweep_jobs, anon_len);
+  sweep_blocks(keys, report, ids.subspan(done), anon_len, out + done * anon_len);
 }
 
 }  // namespace pnm::crypto

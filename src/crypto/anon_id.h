@@ -43,30 +43,12 @@ Bytes anon_id(const HmacKey& node_key, ByteView original_message, NodeId real_id
 /// avx512 rung the fused kernel broadcasts it to 16 lanes and ORs in each
 /// lane's id bytes; elsewhere it is replicated with two bytes patched per
 /// lane: all lanes have equal length (perfect lockstep occupancy), no lane
-/// re-pads, and there is no per-candidate heap traffic. This is the engine
-/// under AnonIdTable rebuilds and the scoped ring search (a one-job
-/// anon_id_batch_multi).
+/// re-pads, and there is no per-candidate heap traffic. On the avx512 rung
+/// full groups of 16 ids (and a last group of at least six) run through the
+/// fused kernel; a shorter tail, such as a scoped ring probe of ~3 ids, goes
+/// single-lane. This is the engine under AnonIdTable sweeps and the scoped
+/// ring search.
 void anon_id_batch(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,
                    std::size_t anon_len, std::uint8_t* out);
-
-/// One report's PRF sweep inside a cross-report batch: `out` receives
-/// ids.size() * anon_len bytes, laid out exactly like anon_id_batch's out.
-struct AnonIdSweepJob {
-  ByteView report;
-  std::span<const NodeId> ids;
-  std::uint8_t* out = nullptr;
-};
-
-/// Cross-report PRF sweep. On the avx512 rung each job (one report) runs
-/// through the fused 16-lane kernel in groups of 16 ids; a final partial
-/// group is padded when it is large enough to pay for 16 lanes, else it
-/// joins the single-lane path with a scoped probe's few ids. On every other
-/// rung all jobs' lanes go through ONE hmac_batch_padded call, so a verify
-/// batch of many distinct reports fills SIMD lanes even when each report
-/// alone could not. Per-job output is bit-identical to calling
-/// anon_id_batch(keys, job.report, job.ids, anon_len, job.out) job by job.
-/// This is the engine under the cross-packet batch planner (sink::BatchPlan).
-void anon_id_batch_multi(const KeyStore& keys, std::span<const AnonIdSweepJob> sweep_jobs,
-                         std::size_t anon_len);
 
 }  // namespace pnm::crypto

@@ -7,7 +7,7 @@
 //
 // Auto dispatch is simply the best supported rung. The avx512 rung has one
 // wide kernel only: the fused 16-lane anonymous-ID sweep behind
-// anon_id_batch_multi (one report, 16 node ids per call; see anon_id.h).
+// anon_id_batch (one report, 16 node ids per call; see anon_id.h).
 // Everything else on that rung — Sha256::process_block, lone MACs and
 // block-core batches — is single-lane: SHA-NI when the CPU has it, else the
 // portable kernel. A generic x16 block core was measured and dropped: it

@@ -83,6 +83,13 @@ VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& key
 
 VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& keys,
                                util::Counters& metrics) const {
+  thread_local sink::AnonIdTable table;
+  table.clear(cfg_.anon_len);
+  return verify(p, keys, metrics, table);
+}
+
+VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& keys,
+                               util::Counters& metrics, sink::AnonIdTable& table) const {
   VerifyResult out;
   out.total_marks = p.marks.size();
   metrics.add(util::Metric::kPacketsVerified);
@@ -96,9 +103,7 @@ VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& key
   // as a lookup in the full table would make. Marks that resolve inside the
   // swept prefix cost no PRFs; an invalid mark sweeps every node before it
   // is declared invalid.
-  thread_local sink::AnonIdTable table;
   thread_local std::vector<NodeId> candidates;
-  table.clear(cfg_.anon_len);
   const std::size_t chunk = sweep_chunk();
   std::size_t prf_evals = 0;
   for (std::size_t j = p.marks.size(); j-- > 0;) {

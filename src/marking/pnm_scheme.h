@@ -15,6 +15,10 @@
 #include "marking/scheme.h"
 #include "util/counters.h"
 
+namespace pnm::sink {
+class AnonIdTable;
+}
+
 namespace pnm::marking {
 
 class PnmScheme final : public MarkingScheme {
@@ -42,6 +46,15 @@ class PnmScheme final : public MarkingScheme {
   /// one per non-sink node and exactly that whenever a mark is invalid.
   VerifyResult verify(const net::Packet& p, const crypto::KeyStore& keys,
                       util::Counters& metrics) const;
+
+  /// The same backward pass over a caller-held `table` of p.report's
+  /// anonymous IDs (empty, or grown by earlier calls for the same report and
+  /// anon_len). Rows already in the table cost nothing; the sweep extends it
+  /// only while a mark is unresolved, so packets that carry one report can
+  /// share one table. Verdicts and kMacChecks equal the per-packet call's;
+  /// kPrfEvals counts only the rows this call adds.
+  VerifyResult verify(const net::Packet& p, const crypto::KeyStore& keys,
+                      util::Counters& metrics, sink::AnonIdTable& table) const;
 };
 
 }  // namespace pnm::marking

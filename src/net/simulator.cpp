@@ -1,8 +1,6 @@
 #include "net/simulator.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "util/log.h"
@@ -20,15 +18,6 @@ obs::Counter& sim_lost_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter("sim_packets_lost");
   return c;
 }
-
-EventCoreImpl default_event_core() {
-  static EventCoreImpl impl = [] {
-    const char* env = std::getenv("PNM_SIM_EVENT_CORE");
-    return (env && std::strcmp(env, "legacy") == 0) ? EventCoreImpl::kLegacyHeap
-                                                    : EventCoreImpl::kCalendar;
-  }();
-  return impl;
-}
 }  // namespace
 
 Simulator::Simulator(const Topology& topo, const RoutingTable& routing, LinkModel link,
@@ -38,16 +27,10 @@ Simulator::Simulator(const Topology& topo, const RoutingTable& routing, LinkMode
       link_(link),
       energy_(topo.node_count(), energy),
       rng_(seed),
-      impl_(default_event_core()),
       handlers_(topo.node_count()),
       isolated_(topo.node_count(), false),
       txq_(topo.node_count()),
       busy_until_(topo.node_count(), 0.0) {}
-
-void Simulator::set_event_core(EventCoreImpl impl) {
-  assert(calq_.empty() && queue_.empty() && next_order_ == 0);
-  impl_ = impl;
-}
 
 void Simulator::set_node_handler(NodeId id, NodeHandler handler) {
   handlers_.at(id) = std::move(handler);
@@ -67,10 +50,6 @@ void Simulator::isolate(NodeId id) {
 
 void Simulator::schedule(double delay_s, std::function<void()> fn) {
   assert(delay_s >= 0.0);
-  if (impl_ == EventCoreImpl::kLegacyHeap) {
-    queue_.push(Event{now_ + delay_s, next_order_++, std::move(fn)});
-    return;
-  }
   std::uint32_t slot = arena_.alloc();
   SimEventNode& node = arena_[slot];
   node.kind = SimEventKind::kCall;
@@ -79,11 +58,6 @@ void Simulator::schedule(double delay_s, std::function<void()> fn) {
 }
 
 void Simulator::schedule_pump(double delay_s, NodeId from) {
-  if (impl_ == EventCoreImpl::kLegacyHeap) {
-    queue_.push(Event{now_ + delay_s, next_order_++,
-                      [this, from]() { pump_tx(from); }});
-    return;
-  }
   std::uint32_t slot = arena_.alloc();
   SimEventNode& node = arena_[slot];
   node.kind = SimEventKind::kPumpTx;
@@ -93,13 +67,6 @@ void Simulator::schedule_pump(double delay_s, NodeId from) {
 
 void Simulator::schedule_arrive(double delay_s, NodeId at, NodeId from,
                                 Packet packet) {
-  if (impl_ == EventCoreImpl::kLegacyHeap) {
-    queue_.push(Event{now_ + delay_s, next_order_++,
-                      [this, at, from, p = std::move(packet)]() mutable {
-                        arrive(at, from, std::move(p));
-                      }});
-    return;
-  }
   std::uint32_t slot = arena_.alloc();
   SimEventNode& node = arena_[slot];
   node.kind = SimEventKind::kArrive;
@@ -190,7 +157,6 @@ void Simulator::arrive(NodeId at, NodeId from, Packet packet) {
 }
 
 bool Simulator::run(std::size_t max_events) {
-  if (impl_ == EventCoreImpl::kLegacyHeap) return run_legacy(max_events);
   std::size_t processed = 0;
   while (!calq_.empty()) {
     if (processed++ >= max_events) {
@@ -227,25 +193,6 @@ bool Simulator::run(std::size_t max_events) {
         fn();
         break;
     }
-  }
-  return true;
-}
-
-bool Simulator::run_legacy(std::size_t max_events) {
-  std::size_t processed = 0;
-  while (!queue_.empty()) {
-    if (processed++ >= max_events) {
-      PNM_ERROR << "simulator: event budget exhausted (" << max_events << ")";
-      return false;
-    }
-    Event ev = queue_.top();
-    // priority_queue::top() is const; move via const_cast is UB — copy the
-    // function object instead (events are small).
-    queue_.pop();
-    assert(ev.time + 1e-12 >= now_);
-    now_ = ev.time;
-    ++events_processed_;
-    ev.fn();
   }
   return true;
 }

@@ -35,26 +35,10 @@ using SinkHandler = std::function<void(Packet&&, double time_s)>;
 /// handler consumes the packet. The recording tap for trace capture.
 using DeliveryTap = std::function<void(const Packet&, double time_s)>;
 
-/// Which event-core implementation a Simulator runs on. Both dispatch in
-/// the identical (time, FIFO-order) total order, so results are
-/// bit-identical; kLegacyHeap (std::function closures on a binary heap with
-/// a copy-not-move pop) survives as the differential-testing baseline and
-/// the "pre-rewrite" side of BM_SimulatorEvents.
-enum class EventCoreImpl {
-  kCalendar,    ///< typed slab events + calendar queue (default)
-  kLegacyHeap,  ///< the original priority_queue<std::function> core
-};
-
 class Simulator {
  public:
   Simulator(const Topology& topo, const RoutingTable& routing, LinkModel link,
             EnergyModel energy, std::uint64_t seed);
-
-  /// Selects the event core. Only valid before anything is scheduled; the
-  /// PNM_SIM_EVENT_CORE=legacy environment variable flips the default for
-  /// whole-binary differential runs.
-  void set_event_core(EventCoreImpl impl);
-  EventCoreImpl event_core() const { return impl_; }
 
   /// Installs a per-node transform; nodes without one forward unchanged.
   void set_node_handler(NodeId id, NodeHandler handler);
@@ -112,24 +96,11 @@ class Simulator {
   std::size_t events_processed() const { return events_processed_; }
 
  private:
-  // Legacy event representation (kLegacyHeap only).
-  struct Event {
-    double time;
-    std::uint64_t order;  // FIFO tiebreaker for simultaneous events
-    std::function<void()> fn;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.time > b.time || (a.time == b.time && a.order > b.order);
-    }
-  };
-
   void transmit(NodeId from, NodeId to, Packet packet);
   void pump_tx(NodeId from);
   void arrive(NodeId at, NodeId from, Packet packet);
   void schedule_pump(double delay_s, NodeId from);
   void schedule_arrive(double delay_s, NodeId at, NodeId from, Packet packet);
-  bool run_legacy(std::size_t max_events);
 
   const Topology& topo_;
   const RoutingTable* routing_;
@@ -137,11 +108,9 @@ class Simulator {
   EnergyLedger energy_;
   Rng rng_;
   double now_ = 0.0;
-  std::uint64_t next_order_ = 0;
-  EventCoreImpl impl_;
+  std::uint64_t next_order_ = 0;  // FIFO tiebreaker for simultaneous events
   EventArena arena_;
   CalendarQueue calq_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;  // legacy
   std::vector<NodeHandler> handlers_;
   std::vector<bool> isolated_;
   SinkHandler sink_handler_;

@@ -37,12 +37,6 @@ AnonIdTable::AnonIdTable(const crypto::KeyStore& keys, ByteView report,
   extend(keys, report, keys.size());
 }
 
-AnonIdTable AnonIdTable::from_precomputed(ByteView anons, std::size_t anon_len) {
-  AnonIdTable t(anon_len);
-  if (anon_len != 0) t.append(anons.data(), anons.size() / anon_len);
-  return t;
-}
-
 void AnonIdTable::clear(std::size_t anon_len) {
   anon_len_ = anon_len;
   rows_ = 0;

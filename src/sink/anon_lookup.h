@@ -35,7 +35,9 @@ namespace pnm::sink {
 /// table first. A scan per mark costs a small fraction of the PRF sweep that
 /// fills the table. Because rows are in node-id order, the table can also be
 /// filled lazily: PnmScheme::verify extend()s it one chunk at a time and
-/// stops sweeping once every mark has resolved.
+/// stops sweeping once every mark has resolved. BatchVerifier hands one
+/// table to every packet of a batch that carries the same report, so each
+/// grows it only past the rows an earlier packet already swept.
 class AnonIdTable {
  public:
   /// Empty table for `anon_len`-byte IDs.
@@ -43,13 +45,6 @@ class AnonIdTable {
 
   /// Full table: one PRF per non-sink node (ids 1..keys.size()-1).
   AnonIdTable(const crypto::KeyStore& keys, ByteView report, std::size_t anon_len);
-
-  /// Full table from PRFs that were already computed elsewhere: `anons`
-  /// holds the anonymous IDs of nodes 1, 2, ... packed at stride anon_len,
-  /// laid out like an anon_id_batch output. The cross-packet batch planner
-  /// uses this to share one global PRF sweep across every distinct report in
-  /// a verify batch; the result is identical to the hashing constructor's.
-  static AnonIdTable from_precomputed(ByteView anons, std::size_t anon_len);
 
   /// Drop every row and switch to `anon_len`-byte IDs, keeping capacity.
   void clear(std::size_t anon_len);

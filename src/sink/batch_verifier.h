@@ -1,23 +1,32 @@
 // Thread-pool-backed batch verification (the sink's scalability engine).
 //
 // The sink is the choke point of the whole scheme: every suspicious packet
-// costs a per-report anonymous-ID table (one PRF per node) plus a nested
-// backward MAC pass. Packets are verified independently — nothing in
-// PnmScheme::verify or scoped_verify_pnm touches shared mutable state — so a
-// batch of delivered packets fans out across a util::ThreadPool
-// embarrassingly.
+// costs a per-report anonymous-ID table (one PRF per node swept) plus a
+// nested backward MAC pass. verify_batch splits a batch into contiguous
+// chunks across a util::ThreadPool and runs one verify path per strategy
+// over each chunk:
 //
-// Determinism contract: results come back indexed by input position, each
-// produced by the exact same per-packet code path the serial sink runs, so a
-// parallel batch is bit-identical to a serial loop regardless of worker
-// count or scheduling (asserted by tests/batch_verify_test.cpp). Worker
-// scheduling never consults an Rng, so seeded experiments stay reproducible.
+//   exhaustive — PnmScheme's early-exit backward pass (§4.2). The marked
+//                packets of a chunk are grouped by report and each group
+//                grows one shared lazy AnonIdTable, so a flow that re-sends
+//                a report sweeps its PRFs once, and only as far as its
+//                highest-id marker. A lone packet is a group of one: the
+//                very code PnmScheme::verify runs. Other schemes use their
+//                own verify().
+//   scoped     — scoped_verify_pnm (§7 ring search) with the lane's
+//                PrfCache, so repeated reports share work through cache hits.
+//
+// Determinism contract: results come back indexed by input position and
+// each verdict is the one its packet gets verified alone, so a parallel
+// batch is bit-identical to a serial loop regardless of worker count or
+// scheduling (asserted by tests/batch_verify_test.cpp). Worker scheduling
+// never consults an Rng, so seeded experiments stay reproducible.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "crypto/keys.h"
@@ -25,7 +34,6 @@
 #include "marking/pnm_scheme.h"
 #include "marking/scheme.h"
 #include "net/topology.h"
-#include "sink/batch_plan.h"
 #include "util/counters.h"
 #include "util/thread_pool.h"
 
@@ -41,34 +49,17 @@ enum class BatchStrategy {
 
 struct BatchVerifierConfig {
   /// Worker threads; 0 = hardware concurrency, 1 = run inline on the caller
-  /// thread (the serial reference path).
+  /// thread (the serial reference path). Parallel batches split into chunks
+  /// of size/(threads * 4) packets so stragglers even out.
   std::size_t threads = 0;
   BatchStrategy strategy = BatchStrategy::kExhaustive;
-  /// Memoize PRF probes across marks/packets. Consulted by the scoped
-  /// strategy only: the exhaustive path computes each (node, report) PRF
-  /// exactly once per table already, so there the flag is accepted as a
-  /// documented no-op — it neither changes results nor touches the cache
-  /// (asserted by tests/batch_verify_test.cpp). Defaults keep it on so
-  /// switching strategy never needs a config edit.
-  bool use_cache = true;
-  /// Packets per task; 0 picks a chunk size that gives each worker ~4 tasks
-  /// so stragglers even out. Per-packet pack mode only: the cross-packet
-  /// planner always splits the batch into one contiguous chunk per worker,
-  /// since bigger chunks mean fuller SIMD lanes and more table sharing.
-  std::size_t chunk_size = 0;
-  /// How verify_batch fills SIMD lanes: per-packet paths or the cross-packet
-  /// planner (sink/batch_plan.h). Unset defers to active_pack_mode()
-  /// (--pack-mode / PNM_PACK_MODE / default kCross). Verdicts are
-  /// bit-identical either way; the planner applies to PNM only and other
-  /// schemes silently use the per-packet path.
-  std::optional<PackMode> pack_mode;
 };
 
 class BatchVerifier {
  public:
   /// `topo` is required for BatchStrategy::kScoped and ignored otherwise.
   /// `counters` defaults to util::Counters::global() when null; every PNM
-  /// verify, in either strategy and pack mode, meters into it.
+  /// verify, in either strategy, meters into it.
   BatchVerifier(const marking::MarkingScheme& scheme, const crypto::KeyStore& keys,
                 BatchVerifierConfig cfg = {}, const net::Topology* topo = nullptr,
                 util::Counters* counters = nullptr);
@@ -77,12 +68,11 @@ class BatchVerifier {
   /// exceptions propagate to the caller. Also records one batch-latency
   /// sample, a per-packet latency sample into the strategy's histogram
   /// (`verify_packet_us_exhaustive` / `verify_packet_us_scoped`), refreshes
-  /// the PRF-cache gauges, and bumps kBatches / kPacketsVerified.
+  /// the PRF-cache gauges, and bumps kBatches / kPacketsVerified. Marked
+  /// exhaustive packets that share an earlier packet's table count into
+  /// `sink_reports_deduped`.
   std::vector<marking::VerifyResult> verify_batch(
       const std::vector<net::Packet>& packets);
-
-  /// The per-packet path verify_batch fans out (callable directly).
-  marking::VerifyResult verify_one(const net::Packet& p);
 
   std::size_t thread_count() const { return threads_; }
   crypto::PrfCache& cache() { return cache_; }
@@ -96,6 +86,10 @@ class BatchVerifier {
   void rebind_keys(const crypto::KeyStore& keys);
 
  private:
+  /// Verify one chunk: packets[i] into results[i].
+  void verify_chunk(std::span<const net::Packet> packets,
+                    marking::VerifyResult* results);
+
   const marking::MarkingScheme& scheme_;
   std::atomic<const crypto::KeyStore*> keys_;
   BatchVerifierConfig cfg_;
@@ -105,7 +99,7 @@ class BatchVerifier {
   obs::Gauge* cache_hit_ratio_ppm_;  ///< hits/(hits+misses) in parts-per-million
   obs::Counter* reports_deduped_;    ///< packets that shared another's table
   /// The scheme as PNM, else null: PNM verifies meter into `counters_` and
-  /// may take the cross-packet planner.
+  /// share tables within a report group.
   const marking::PnmScheme* pnm_;
   crypto::PrfCache cache_;
   std::size_t threads_;

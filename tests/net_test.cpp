@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
-#include <tuple>
 
+#include "crypto/sha256.h"
 #include "net/energy.h"
 #include "net/link.h"
 #include "net/report.h"
@@ -468,34 +469,38 @@ TEST(SimulatorLoss, LossyLinksDropSomePackets) {
   EXPECT_EQ(delivered + sim.packets_dropped_by_links(), 200u);
 }
 
-// Differential check of the two event cores: same lossy flood, identical
-// stats, energy and clock — the in-binary version of the scenario-digest
-// golden equivalence.
-TEST(SimulatorEventCore, LegacyAndCalendarCoresAgree) {
-  auto flood = [](EventCoreImpl impl) {
-    Topology topo = Topology::chain(12);
-    RoutingTable routing(topo, RoutingStrategy::kTree);
-    LinkModel link;
-    link.loss_probability = 0.07;
-    Simulator sim(topo, routing, link, EnergyModel{}, 20260809);
-    sim.set_event_core(impl);
-    std::vector<double> delivery_times;
-    sim.set_sink_handler(
-        [&](Packet&&, double t) { delivery_times.push_back(t); });
-    for (int i = 0; i < 150; ++i) {
-      sim.schedule(0.01 * i, [&sim, i] {
-        Packet p;
-        p.report = Report{static_cast<std::uint32_t>(i), 0, 0, 0}.encode();
-        p.true_source = 13;
-        sim.inject(13, std::move(p));
-      });
-    }
-    EXPECT_TRUE(sim.run());
-    return std::tuple(sim.packets_delivered(), sim.packets_dropped_by_links(),
-                      sim.energy().total_energy_uj(), sim.now(),
-                      delivery_times);
-  };
-  EXPECT_EQ(flood(EventCoreImpl::kLegacyHeap), flood(EventCoreImpl::kCalendar));
+// A lossy flood pinned to the result the retired std::function heap core
+// produced for it: delivered and lost counts, total energy, final clock and
+// a SHA-256 over every delivery time's bit pattern. Any drift in event
+// order, RNG draws or energy accounting moves one of them.
+TEST(SimulatorEventCore, LossyFloodMatchesRecordedResult) {
+  Topology topo = Topology::chain(12);
+  RoutingTable routing(topo, RoutingStrategy::kTree);
+  LinkModel link;
+  link.loss_probability = 0.07;
+  Simulator sim(topo, routing, link, EnergyModel{}, 20260809);
+  Bytes delivery_bits;
+  sim.set_sink_handler([&](Packet&&, double t) {
+    std::uint64_t u;
+    std::memcpy(&u, &t, sizeof u);
+    for (int b = 0; b < 8; ++b)
+      delivery_bits.push_back(static_cast<std::uint8_t>(u >> (8 * b)));
+  });
+  for (int i = 0; i < 150; ++i) {
+    sim.schedule(0.01 * i, [&sim, i] {
+      Packet p;
+      p.report = Report{static_cast<std::uint32_t>(i), 0, 0, 0}.encode();
+      p.true_source = 13;
+      sim.inject(13, std::move(p));
+    });
+  }
+  EXPECT_TRUE(sim.run());
+  EXPECT_EQ(sim.packets_delivered(), 55u);
+  EXPECT_EQ(sim.packets_dropped_by_links(), 95u);
+  EXPECT_EQ(sim.energy().total_energy_uj(), 0x1.2a368p+19);
+  EXPECT_EQ(sim.now(), 0x1.96b2dbd19423ap+0);
+  EXPECT_EQ(to_hex(crypto::Sha256::hash(delivery_bits)),
+            "65a450482a980b16288b97bf179769e7b7e9500c299c8c4f1e7eddc995843ea3");
 }
 
 // Calendar-queue stress: a deterministic scatter of callback times (dense

@@ -1,69 +1,28 @@
 // Differential oracle for the exhaustive PNM verifier (PnmScheme::verify).
 //
 // The production path sweeps anonymous-ID PRFs in ascending node id, one
-// chunk at a time, and stops once every mark has resolved. The oracle below
-// is the plain serial §4.2 procedure instead: one PRF per node through the
-// raw key, a sorted anon-ID -> node table, and a first-match backward MAC
-// pass. The two must agree on the verified chain, invalid_marks and
-// truncated_by_invalid, and meter the same kMacChecks; kPrfEvals may only
-// shrink, and must be the full sweep whenever a mark is invalid.
+// chunk at a time, and stops once every mark has resolved. The oracle
+// (pnm_verify_oracle.h) is the plain serial §4.2 procedure instead: one PRF
+// per node through the raw key, a sorted anon-ID -> node table, and a
+// first-match backward MAC pass. The two must agree on the verified chain,
+// invalid_marks and truncated_by_invalid, and meter the same kMacChecks;
+// kPrfEvals may only shrink, and must be the full sweep whenever a mark is
+// invalid.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "crypto/anon_id.h"
-#include "crypto/hmac.h"
 #include "crypto/keys.h"
-#include "marking/mark.h"
 #include "marking/pnm_scheme.h"
 #include "net/report.h"
 #include "util/counters.h"
+#include "pnm_verify_oracle.h"
 #include "util/rng.h"
 
 namespace pnm::marking {
 namespace {
-
-struct OracleResult {
-  VerifyResult result;
-  std::uint64_t mac_checks = 0;
-};
-
-OracleResult oracle_verify(const net::Packet& p, const crypto::KeyStore& keys,
-                           std::size_t anon_len) {
-  OracleResult out;
-  out.result.total_marks = p.marks.size();
-  if (p.marks.empty()) return out;
-  // Sorted by (anon ID, node id): equal_range yields candidates ascending.
-  std::multimap<Bytes, NodeId> table;
-  for (std::size_t i = 1; i < keys.size(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    table.emplace(crypto::anon_id(keys.key_unchecked(id), p.report, id, anon_len), id);
-  }
-  for (std::size_t j = p.marks.size(); j-- > 0;) {
-    const net::Mark& m = p.marks[j];
-    NodeId resolved = kInvalidNode;
-    if (m.id_field.size() == anon_len) {
-      const Bytes input = nested_mac_input(p, j, m.id_field);
-      auto [lo, hi] = table.equal_range(m.id_field);
-      for (auto it = lo; it != hi; ++it) {
-        ++out.mac_checks;
-        if (crypto::verify_mac(keys.key_unchecked(it->second), input, m.mac)) {
-          resolved = it->second;
-          break;
-        }
-      }
-    }
-    if (resolved == kInvalidNode) {
-      out.result.invalid_marks = j + 1;
-      out.result.truncated_by_invalid = true;
-      break;
-    }
-    out.result.chain.insert(out.result.chain.begin(), VerifiedMark{resolved, j});
-  }
-  return out;
-}
 
 class OracleFixture : public ::testing::Test {
  protected:

@@ -236,46 +236,10 @@ TEST(Sha256MultiTest, AnonIdBatchPaddingEdgesAndHighIdsEveryBackend) {
               << "report_len=" << report_len << " anon_len=" << anon_len
               << " id=" << ids[i];
         }
-      }
-    }
-  }
-}
-
-// One cross-report call mixing one-, two- and three-block reports (and an
-// empty id list) must match serial anon_id for every lane.
-TEST(Sha256MultiTest, AnonIdBatchMultiMixesBlockCountsEveryBackend) {
-  Rng rng(1301);
-  KeyStore keys(Bytes{0x42}, 400);
-  const std::vector<NodeId> ids = wide_ids(keys.size());
-  const std::size_t anon_len = 3;
-  for (Sha256Backend backend : supported_backends()) {
-    SCOPED_TRACE(sha_backend_name(backend));
-    ForcedBackend pin(backend);
-    std::vector<Bytes> reports;
-    for (std::size_t report_len : kEdgeReportLens)
-      reports.push_back(random_bytes(rng, report_len));
-    std::vector<std::vector<NodeId>> job_ids(reports.size());
-    std::vector<Bytes> outs(reports.size());
-    std::vector<AnonIdSweepJob> jobs;
-    for (std::size_t r = 0; r < reports.size(); ++r) {
-      // Rotate the id list per report so lanes differ across jobs; report 3
-      // gets no ids at all.
-      if (r != 3) {
-        job_ids[r] = ids;
-        std::rotate(job_ids[r].begin(),
-                    job_ids[r].begin() + static_cast<std::ptrdiff_t>(r % ids.size()),
-                    job_ids[r].end());
-      }
-      outs[r].assign(job_ids[r].size() * anon_len, 0);
-      jobs.push_back({reports[r], job_ids[r], outs[r].data()});
-    }
-    anon_id_batch_multi(keys, jobs, anon_len);
-    for (std::size_t r = 0; r < reports.size(); ++r) {
-      for (std::size_t i = 0; i < job_ids[r].size(); ++i) {
-        NodeId id = job_ids[r][i];
-        EXPECT_EQ(slot(outs[r], i, anon_len),
-                  anon_id(keys.key_unchecked(id), reports[r], id, anon_len))
-            << "report_len=" << reports[r].size() << " id=" << id;
+        // An empty id list writes nothing.
+        Bytes untouched(anon_len, 0x5c);
+        anon_id_batch(keys, report, {}, anon_len, untouched.data());
+        EXPECT_EQ(untouched, Bytes(anon_len, 0x5c));
       }
     }
   }

@@ -1,0 +1,149 @@
+// Exact work-count pins for the checked-in trace corpus.
+//
+// Every tests/corpus/<name>.pnmtrace is verified through sink::BatchVerifier
+// (threads 1) under both strategies: record by record (batches of one) and
+// as one whole-trace batch. The machine-independent work of each run —
+// packets, PRF evaluations, PrfCache hits and misses, MAC checks — is pinned
+// in <name>.work next to the trace's .digest. These counts are the same on
+// every host and SHA rung, unlike wall time, so a change to a verify path
+// that moves them fails here.
+//
+// A count that rises is a regression. When a change is meant to lower one,
+// regenerate the pins in the same change and say why:
+//   PNM_UPDATE_GOLDENS=1 ./work_counts_test
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/campaign.h"
+#include "crypto/keys.h"
+#include "marking/scheme.h"
+#include "net/topology.h"
+#include "net/wire.h"
+#include "sink/batch_verifier.h"
+#include "trace/reader.h"
+#include "util/counters.h"
+
+namespace pnm {
+namespace {
+
+const std::filesystem::path kCorpus = PNM_CORPUS_DIR;
+
+std::vector<std::string> corpus_names() {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(kCorpus)) {
+    if (entry.path().extension() == ".pnmtrace") names.push_back(entry.path().stem());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// One verifier's context rebuilt from a trace header, as replay does.
+struct Campaign {
+  net::Topology topo;
+  crypto::KeyStore keys;
+  std::unique_ptr<marking::MarkingScheme> scheme;
+  bool pnm = false;
+  std::vector<net::Packet> packets;
+};
+
+Campaign load(const std::string& name) {
+  trace::TraceReader reader((kCorpus / (name + ".pnmtrace")).string());
+  EXPECT_TRUE(reader.valid()) << reader.header_error();
+  const trace::TraceMeta& meta = reader.meta();
+  marking::SchemeConfig scfg;
+  if (auto prob = meta.get(trace::kMetaMarkProbability))
+    scfg.mark_probability = std::strtod(prob->c_str(), nullptr);
+  if (auto mac = meta.get_u64(trace::kMetaMacLen)) scfg.mac_len = *mac;
+  if (auto anon = meta.get_u64(trace::kMetaAnonLen)) scfg.anon_len = *anon;
+  const std::string scheme_name = meta.get(trace::kMetaScheme).value_or("");
+  marking::SchemeKind kind = marking::SchemeKind::kPnm;
+  for (auto k : marking::all_scheme_kinds())
+    if (scheme_name == marking::scheme_kind_name(k)) kind = k;
+
+  std::vector<net::Packet> packets;
+  while (auto outcome = reader.next()) {
+    if (outcome->status != trace::ReadStatus::kRecord) continue;
+    auto packet = net::decode_packet(outcome->record.wire);
+    if (!packet) continue;
+    packet->delivered_by = outcome->record.delivered_by;
+    packets.push_back(std::move(*packet));
+  }
+  net::Topology topo =
+      net::Topology::chain(meta.get_u64(trace::kMetaForwarders).value_or(1));
+  const std::size_t nodes = topo.node_count();
+  const Bytes secret =
+      core::campaign_master_secret(meta.get_u64(trace::kMetaSeed).value_or(0));
+  return Campaign{std::move(topo), crypto::KeyStore(secret, nodes),
+                  marking::make_scheme(kind, scfg), kind == marking::SchemeKind::kPnm,
+                  std::move(packets)};
+}
+
+/// "<strategy> <batching> packets=.. prf_evals=.. cache_hits=.. ..." for one
+/// run of the whole trace.
+std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole) {
+  util::Counters counters;
+  sink::BatchVerifierConfig bcfg;
+  bcfg.threads = 1;
+  bcfg.strategy = strategy;
+  sink::BatchVerifier verifier(*c.scheme, c.keys, bcfg, &c.topo, &counters);
+  if (whole) {
+    verifier.verify_batch(c.packets);
+  } else {
+    for (const net::Packet& p : c.packets) verifier.verify_batch({p});
+  }
+  std::ostringstream line;
+  line << (strategy == sink::BatchStrategy::kScoped ? "scoped" : "exhaustive") << ' '
+       << (whole ? "whole" : "one")
+       << " packets=" << counters.get(util::Metric::kPacketsVerified)
+       << " prf_evals=" << counters.get(util::Metric::kPrfEvals)
+       << " cache_hits=" << counters.get(util::Metric::kCacheHits)
+       << " cache_misses=" << counters.get(util::Metric::kCacheMisses)
+       << " mac_checks=" << counters.get(util::Metric::kMacChecks);
+  return line.str();
+}
+
+std::string compute_pins(const std::string& name) {
+  Campaign c = load(name);
+  std::string out;
+  for (auto strategy : {sink::BatchStrategy::kExhaustive, sink::BatchStrategy::kScoped}) {
+    if (strategy == sink::BatchStrategy::kScoped && !c.pnm) continue;
+    for (bool whole : {false, true}) out += run_line(c, strategy, whole) + '\n';
+  }
+  return out;
+}
+
+class WorkCounts : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WorkCounts, MatchPins) {
+  const std::string name = GetParam();
+  const std::string got = compute_pins(name);
+  const std::filesystem::path pin_path = kCorpus / (name + ".work");
+  if (std::getenv("PNM_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream(pin_path) << got;
+    GTEST_SKIP() << "rewrote " << pin_path;
+  }
+  std::ifstream in(pin_path);
+  ASSERT_TRUE(in.good()) << "missing pin file " << pin_path
+                         << " (regenerate with PNM_UPDATE_GOLDENS=1)";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str()) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, WorkCounts, ::testing::ValuesIn(corpus_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string id = info.param;
+                           std::replace(id.begin(), id.end(), '-', '_');
+                           return id;
+                         });
+
+}  // namespace
+}  // namespace pnm

@@ -91,12 +91,6 @@
 //                              PNM_FORCE_SHA_BACKEND, flag wins. Verdicts
 //                              and digests are backend-independent — this
 //                              only changes speed.
-//   --pack-mode M              how the sink fills SIMD lanes: `cross`
-//                              (default; the cross-packet batch planner) or
-//                              `packet` (per-packet paths, the bench
-//                              baseline). Same effect as PNM_PACK_MODE, flag
-//                              wins. Verdicts and digests are identical in
-//                              both modes — this only changes speed.
 //   --provenance-rate N        sample 1-in-N records for provenance tracing
 //                              (0 = off, default 64). Sampling is a
 //                              deterministic content hash, so replays at any
@@ -788,7 +782,6 @@ int main(int argc, char** argv) {
                  "[--flag value ...]\n"
                  "       [--metrics-out FILE] [--metrics-format json|prom]\n"
                  "       [--sha-backend scalar|sse2|avx2|shani|avx512]\n"
-                 "       [--pack-mode packet|cross]\n"
                  "       [--span-trace FILE] [--metrics-every-ms N]\n"
                  "       [--provenance-rate N]\n",
                  argv[0]);
@@ -813,17 +806,6 @@ int main(int argc, char** argv) {
     } else {
       pnm::crypto::force_sha_backend(*parsed);
     }
-  }
-
-  std::string pack_name = args.str("pack-mode", "");
-  if (!pack_name.empty()) {
-    auto parsed = pnm::sink::parse_pack_mode(pack_name);
-    if (!parsed) {
-      std::fprintf(stderr, "unknown --pack-mode '%s' (packet|cross)\n",
-                   pack_name.c_str());
-      return 2;
-    }
-    pnm::sink::force_pack_mode(*parsed);
   }
 
   std::string span_path = args.str("span-trace", "");

@@ -3,8 +3,9 @@
 // Every tests/corpus/<name>.pnmtrace is verified through sink::BatchVerifier
 // (threads 1) under both strategies: record by record (batches of one) and
 // as one whole-trace batch. The machine-independent work of each run —
-// packets, PRF evaluations, PrfCache hits and misses, MAC checks — is pinned
-// in <name>.work next to the trace's .digest. These counts are the same on
+// packets, PRF evaluations, PrfCache hits and misses, MAC checks, and for
+// the scoped rows the ring expansions of the §7 search — is pinned in
+// <name>.work next to the trace's .digest. These counts are the same on
 // every host and SHA rung, unlike wall time, so a change to a verify path
 // that moves them fails here.
 //
@@ -28,6 +29,7 @@
 #include "net/topology.h"
 #include "net/wire.h"
 #include "sink/batch_verifier.h"
+#include "sink/scoped_verify.h"
 #include "trace/reader.h"
 #include "util/counters.h"
 
@@ -86,6 +88,18 @@ Campaign load(const std::string& name) {
                   std::move(packets)};
 }
 
+/// ScopedVerifyStats::ring_expansions summed over the trace. The search widens
+/// on anonymous-ID and MAC outcomes alone, never on cache state, so one
+/// uncached pass gives the count every scoped run walks.
+std::size_t ring_expansions(const Campaign& c) {
+  sink::ScopedVerifyStats stats;
+  util::Counters counters;
+  for (const net::Packet& p : c.packets)
+    sink::scoped_verify_pnm(p, c.keys, c.topo, c.scheme->config(), &stats, nullptr,
+                            &counters);
+  return stats.ring_expansions;
+}
+
 /// "<strategy> <batching> packets=.. prf_evals=.. cache_hits=.. ..." for one
 /// run of the whole trace.
 std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole) {
@@ -107,6 +121,8 @@ std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole
        << " cache_hits=" << counters.get(util::Metric::kCacheHits)
        << " cache_misses=" << counters.get(util::Metric::kCacheMisses)
        << " mac_checks=" << counters.get(util::Metric::kMacChecks);
+  if (strategy == sink::BatchStrategy::kScoped)
+    line << " ring_expansions=" << ring_expansions(c);
   return line.str();
 }
 

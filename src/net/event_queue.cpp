@@ -1,24 +1,33 @@
 #include "net/event_queue.h"
 
+#include <bit>
 #include <cmath>
 
 namespace pnm::net {
 
+std::size_t CalendarQueue::next_occupied(std::size_t from) const {
+  for (std::size_t w = from / 64; w < occupied_.size(); ++w) {
+    std::uint64_t bits = occupied_[w];
+    if (w == from / 64) bits &= ~std::uint64_t{0} << (from % 64);
+    if (bits != 0) return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  }
+  return kBuckets;
+}
+
 void CalendarQueue::refill_bottom() {
-  // Precondition: bottom_ is empty, size_ > 0.
+  // Precondition: bottom_ is empty, size_ > 0. Skipping empty slots leaves
+  // bottom_hi_ exactly where stepping through them one by one would.
   for (;;) {
-    while (cur_slot_ < kBuckets) {
-      std::vector<EventRef>& slot = buckets_[cur_slot_];
-      ++cur_slot_;
-      bottom_hi_ =
-          cur_slot_ >= kBuckets ? span_hi_ : span_lo_ + cur_slot_ * width_;
-      if (!slot.empty()) {
-        bottom_.swap(slot);  // capacities circulate between tiers
-        std::sort(bottom_.begin(), bottom_.end(), later);
-        return;
-      }
+    const std::size_t idx = next_occupied(cur_slot_);
+    if (idx < kBuckets) {
+      cur_slot_ = idx + 1;
+      bottom_hi_ = cur_slot_ >= kBuckets ? span_hi_ : span_lo_ + cur_slot_ * width_;
+      bottom_.swap(buckets_[idx]);  // capacities circulate between tiers
+      occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+      std::sort(bottom_.begin(), bottom_.end(), later);
+      return;
     }
-    respan();
+    respan();  // resets cur_slot_ and bottom_hi_
   }
 }
 
@@ -51,7 +60,7 @@ void CalendarQueue::respan() {
     if (ev.time < span_hi_) {
       std::size_t idx = static_cast<std::size_t>((ev.time - span_lo_) / width_);
       if (idx >= kBuckets) idx = kBuckets - 1;
-      buckets_[idx].push_back(ev);
+      push_bucket(idx, ev);
     } else {
       keep.push_back(ev);
     }

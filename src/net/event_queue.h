@@ -19,7 +19,8 @@
 //             holds every queued event with time < bottom_hi_
 //   buckets_  kBuckets calendar slots of width_ seconds spanning
 //             [span_lo_, span_hi_); slot cur_slot_ is the next to drain and
-//             bottom_hi_ == span_lo_ + cur_slot_ * width_
+//             bottom_hi_ == span_lo_ + cur_slot_ * width_; a 512-bit
+//             occupancy mask lets the drain skip empty slots in one step
 //   overflow_ unsorted, time >= span_hi_; re-spanned (adaptive width from
 //             the actual min/max) when the calendar is exhausted
 //
@@ -32,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -115,7 +117,7 @@ class CalendarQueue {
       // slot within it.
       if (idx < cur_slot_) idx = cur_slot_;
       if (idx >= kBuckets) idx = kBuckets - 1;
-      buckets_[idx].push_back(ev);
+      push_bucket(idx, ev);
     } else {
       overflow_.push_back(ev);
     }
@@ -139,11 +141,22 @@ class CalendarQueue {
     return x.time > y.time || (x.time == y.time && x.order > y.order);
   }
 
+  void push_bucket(std::size_t idx, const EventRef& ev) {
+    buckets_[idx].push_back(ev);
+    occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+  }
+  /// The first non-empty bucket at or after `from`, or kBuckets.
+  std::size_t next_occupied(std::size_t from) const;
+
   void refill_bottom();
   void respan();
 
   std::vector<EventRef> bottom_;
   std::vector<std::vector<EventRef>> buckets_;
+  /// Bit i set iff buckets_[i] is non-empty: the in-flight set is often a
+  /// few dozen events over kBuckets slots, so the drain jumps straight to
+  /// the next occupied bucket instead of stepping through empty ones.
+  std::array<std::uint64_t, kBuckets / 64> occupied_{};
   std::vector<EventRef> overflow_;
   double span_lo_ = 0.0;
   double width_ = 0.0;

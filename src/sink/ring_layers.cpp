@@ -4,39 +4,30 @@
 
 namespace pnm::sink {
 
-namespace {
-
-void sort_unique(std::vector<NodeId>& ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-}
-
-}  // namespace
-
 void RingLayers::start(const net::Topology& topo, NodeId anchor) {
   topo_ = &topo;
   radius_ = 1;
-  prev_.clear();
-  const std::vector<NodeId>& adjacent = topo.neighbors(anchor);
-  ring_.assign(adjacent.begin(), adjacent.end());
-  ring_.push_back(anchor);
-  sort_unique(ring_);
+  // Slots past the old size start at 0, which no live generation uses.
+  if (stamps_.size() < topo.node_count()) stamps_.resize(topo.node_count(), 0);
+  if (++generation_ == 0) {
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    generation_ = 1;
+  }
+  ring_.clear();
+  if (reach(anchor)) ring_.push_back(anchor);
+  for (NodeId v : topo.neighbors(anchor))
+    if (reach(v)) ring_.push_back(v);
+  std::sort(ring_.begin(), ring_.end());
 }
 
 void RingLayers::next() {
-  // Ring 1 holds hop distances 0 and 1, so for every ring the nodes one hop
-  // further in are all in ring_ or prev_.
+  // Every node of an earlier ring is stamped, so ring r + 1 is exactly the
+  // unstamped neighbors of ring r.
   next_.clear();
-  for (NodeId v : ring_) {
-    for (NodeId u : topo_->neighbors(v)) {
-      if (std::binary_search(ring_.begin(), ring_.end(), u) ||
-          std::binary_search(prev_.begin(), prev_.end(), u))
-        continue;
-      next_.push_back(u);
-    }
-  }
-  sort_unique(next_);
-  prev_.swap(ring_);
+  for (NodeId v : ring_)
+    for (NodeId u : topo_->neighbors(v))
+      if (reach(u)) next_.push_back(u);
+  std::sort(next_.begin(), next_.end());
   ring_.swap(next_);
   ++radius_;
 }

@@ -3,12 +3,16 @@
 // The scoped search resolves a mark by probing the nodes around the previous
 // hop ring by ring: first the anchor and its neighbors, then the nodes two
 // hops out, and so on. RingLayers produces those rings one at a time as a
-// breadth-first search that expands exactly one layer per next(): a neighbor
-// of a node r hops out is r - 1, r or r + 1 hops out, so ring r + 1 is the
-// neighbors of ring r that are in neither ring r nor ring r - 1. No per-node
-// visited array and no per-anchor state is kept: a walker holds at most three
-// consecutive rings, reuses their buffers from one search to the next, and
-// costs each search only the rings it actually reaches.
+// breadth-first search that expands exactly one layer per next(): ring r + 1
+// is the neighbors of ring r that no earlier ring reached. A walker tells
+// the reached nodes apart with a generation-stamped visited array, one u32
+// per node of the largest topology it has walked: start() bumps the
+// generation instead of clearing the array, which is only zeroed when the
+// counter wraps. That array is the walker's only O(n) state, and it is kept
+// per walker, not per anchor: the scoped verifier holds one thread_local
+// walker, so a process pays O(n) per verifying thread. Ring buffers are
+// reused from one search to the next, and each search costs only the rings
+// it actually reaches.
 //
 // Ring 1 is every node within one hop, the anchor included; ring r >= 2 is
 // every node exactly r hops away. Each ring lists ids ascending. That is
@@ -21,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,11 +50,19 @@ class RingLayers {
   void next();
 
  private:
+  /// Stamp `v` reached in this search; true when it was not yet.
+  bool reach(NodeId v) {
+    if (stamps_[v] == generation_) return false;
+    stamps_[v] = generation_;
+    return true;
+  }
+
   const net::Topology* topo_ = nullptr;
   std::size_t radius_ = 1;
-  std::vector<NodeId> prev_;  ///< ring radius() - 1 (empty for ring 1)
-  std::vector<NodeId> ring_;  ///< ring radius()
-  std::vector<NodeId> next_;  ///< scratch for the layer being built
+  std::uint32_t generation_ = 0;       ///< this search's stamp
+  std::vector<std::uint32_t> stamps_;  ///< per node, the last search to reach it
+  std::vector<NodeId> ring_;           ///< ring radius()
+  std::vector<NodeId> next_;           ///< scratch for the layer being built
 };
 
 }  // namespace pnm::sink

@@ -12,10 +12,13 @@
 //
 // The rings come from a RingLayers search (sink/ring_layers.h) that expands
 // one layer per widening: ring 1 is the anchor and its neighbors, ring r the
-// nodes exactly r hops out, each walked in ascending id order. Each ring
-// probes the PrfCache under one lock and computes its misses in one
-// multi-lane sweep. With a shared cache, packets that repeat a report reuse
-// the anonymous IDs an earlier packet computed.
+// nodes exactly r hops out, each walked in ascending id order. With a cache,
+// a packet resolves its report's PrfCache row once, and each mark walks its
+// rings under one lock of that row: a ring whose candidates all hit is read
+// in place, and a ring with misses releases the row only around one
+// multi-lane sweep of them, then re-locks it to insert. Packets that repeat a
+// report reuse the anonymous IDs an earlier packet computed. The work
+// counters are added once per packet.
 //
 // The result is bit-identical to PnmScheme::verify (asserted by tests); only
 // the search order — and therefore the hash count — differs.

@@ -1,11 +1,14 @@
 // Topology-scoped verification tests (§7): equivalence with the exhaustive
-// verifier, cost advantage, and edge cases (unknown anchor, alien marks).
+// verifier, cost advantage, edge cases (unknown anchor, alien marks), and a
+// warm verifier's PrfCache serving a repeated batch without one PRF.
 #include <gtest/gtest.h>
 
 #include "crypto/keys.h"
 #include "marking/scheme.h"
 #include "net/routing.h"
+#include "sink/batch_verifier.h"
 #include "sink/scoped_verify.h"
+#include "util/counters.h"
 #include "util/rng.h"
 
 namespace pnm::sink {
@@ -135,6 +138,55 @@ TEST_F(ScopedVerifyFixture, EmptyPacketTrivial) {
   auto scoped = scoped_verify_pnm(p, keys_, topo_, cfg_);
   EXPECT_TRUE(scoped.chain.empty());
   EXPECT_FALSE(scoped.truncated_by_invalid);
+}
+
+TEST_F(ScopedVerifyFixture, WarmVerifierRepeatsABatchWithoutPrfEvals) {
+  // 48 packets over 6 reports, each marked afresh, plus two forged marks
+  // whose searches widen across the whole chain.
+  std::vector<net::Packet> batch;
+  for (std::uint32_t n = 0; n < 48; ++n) batch.push_back(marked(n % 6));
+  for (std::size_t k : {std::size_t{5}, std::size_t{30}}) {
+    net::Packet forged = batch[k];
+    if (forged.marks.empty()) continue;
+    forged.marks.back().mac[0] ^= 0x01;
+    batch.push_back(std::move(forged));
+  }
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::Counters counters;
+    BatchVerifierConfig bcfg;
+    bcfg.threads = threads;
+    bcfg.strategy = BatchStrategy::kScoped;
+    BatchVerifier verifier(*scheme_, keys_, bcfg, &topo_, &counters);
+    const auto first = verifier.verify_batch(batch);
+    const std::uint64_t prf = counters.get(util::Metric::kPrfEvals);
+    const std::uint64_t hits = counters.get(util::Metric::kCacheHits);
+    const std::uint64_t misses = counters.get(util::Metric::kCacheMisses);
+    const std::uint64_t macs = counters.get(util::Metric::kMacChecks);
+    EXPECT_GT(prf, 0u) << "threads=" << threads;
+
+    const auto second = verifier.verify_batch(batch);
+    EXPECT_EQ(counters.get(util::Metric::kPrfEvals) - prf, 0u) << "threads=" << threads;
+    EXPECT_EQ(counters.get(util::Metric::kCacheMisses) - misses, 0u)
+        << "threads=" << threads;
+    EXPECT_EQ(counters.get(util::Metric::kCacheHits) - hits, hits + misses)
+        << "threads=" << threads;
+    EXPECT_EQ(counters.get(util::Metric::kMacChecks) - macs, macs) << "threads=" << threads;
+
+    ASSERT_EQ(second.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto alone = scoped_verify_pnm(batch[i], keys_, topo_, cfg_);
+      for (const auto* got : {&first[i], &second[i]}) {
+        ASSERT_EQ(got->chain.size(), alone.chain.size()) << "packet " << i;
+        for (std::size_t m = 0; m < alone.chain.size(); ++m) {
+          EXPECT_EQ(got->chain[m].node, alone.chain[m].node);
+          EXPECT_EQ(got->chain[m].mark_index, alone.chain[m].mark_index);
+        }
+        EXPECT_EQ(got->truncated_by_invalid, alone.truncated_by_invalid);
+        EXPECT_EQ(got->invalid_marks, alone.invalid_marks);
+      }
+    }
+  }
 }
 
 TEST(KHopNeighborhood, RingsGrowCorrectly) {

@@ -14,6 +14,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "crypto/anon_id.h"
@@ -478,6 +481,27 @@ std::uint64_t lanes_hist_count() {
   return s ? s->hist.count : 0;
 }
 
+/// One report's per-node lookup over the row API: hit[i] says whether
+/// nodes[i] is cached, and a hit copies its anon ID into out[i * anon_len].
+void lookup(PrfCache& cache, std::uint64_t rkey, std::span<const NodeId> nodes,
+            std::size_t anon_len, std::uint8_t* out, std::uint8_t* hit) {
+  const PrfCache::RowRef row = cache.row(rkey, anon_len);
+  std::lock_guard<std::mutex> lock(row->mutex());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::uint8_t* anon = row->find(nodes[i]);
+    hit[i] = anon != nullptr ? 1 : 0;
+    if (anon != nullptr) std::memcpy(out + i * anon_len, anon, anon_len);
+  }
+}
+
+/// Store one report's anon IDs through its row, as a ring's miss sweep does.
+void insert(PrfCache& cache, std::uint64_t rkey, std::span<const NodeId> nodes,
+            std::size_t anon_len, const std::uint8_t* values) {
+  const PrfCache::RowRef row = cache.row(rkey, anon_len);
+  std::lock_guard<std::mutex> lock(row->mutex());
+  cache.insert(row, nodes, values);
+}
+
 // PRF-cache stress: a warm cache must (a) keep results bit-identical and
 // (b) bypass lane packing entirely — no new multi-lane sweeps — because
 // hits are filtered out before jobs are packed.
@@ -546,14 +570,14 @@ TEST(Sha256MultiTest, PrfCacheKeepsAReportLargerThanOneShardShare) {
       for (std::size_t b = 0; b < kAnonLen; ++b)
         values.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
     }
-    cache.insert(rkey, ring, kAnonLen, values.data());
+    insert(cache, rkey, ring, kAnonLen, values.data());
   }
   EXPECT_EQ(cache.size(), kNodes);
 
   std::vector<NodeId> all(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i) all[i] = static_cast<NodeId>(i + 1);
   std::vector<std::uint8_t> out(kNodes * kAnonLen), hit(kNodes);
-  cache.lookup(rkey, all, kAnonLen, out.data(), hit.data());
+  lookup(cache, rkey, all, kAnonLen, out.data(), hit.data());
   for (std::size_t i = 0; i < kNodes; ++i) {
     ASSERT_EQ(hit[i], 1) << "node " << all[i] << " was evicted";
     for (std::size_t b = 0; b < kAnonLen; ++b)
@@ -572,16 +596,16 @@ TEST(Sha256MultiTest, PrfCacheFlushesWholeAtItsTotalCap) {
   const std::uint64_t a = PrfCache::report_key(Bytes{1});
   const std::uint64_t b = PrfCache::report_key(Bytes{2});
   const std::uint64_t c = PrfCache::report_key(Bytes{3});
-  cache.insert(a, nodes(1, 60), 1, values.data());
-  cache.insert(b, nodes(1, 40), 1, values.data());
+  insert(cache, a, nodes(1, 60), 1, values.data());
+  insert(cache, b, nodes(1, 40), 1, values.data());
   EXPECT_EQ(cache.size(), 100u);
-  cache.insert(c, nodes(1, 5), 1, values.data());  // would pass the cap: flush
+  insert(cache, c, nodes(1, 5), 1, values.data());  // would pass the cap: flush
   EXPECT_EQ(cache.size(), 5u);
 
   std::vector<std::uint8_t> out(60), hit(60);
-  cache.lookup(a, nodes(1, 60), 1, out.data(), hit.data());
+  lookup(cache, a, nodes(1, 60), 1, out.data(), hit.data());
   EXPECT_EQ(std::count(hit.begin(), hit.end(), 1), 0);
-  cache.lookup(c, nodes(1, 5), 1, out.data(), hit.data());
+  lookup(cache, c, nodes(1, 5), 1, out.data(), hit.data());
   EXPECT_EQ(std::count(hit.begin(), hit.begin() + 5, 1), 5);
 }
 

@@ -91,8 +91,8 @@ BENCHMARK(BM_AnonTableBuild)->Arg(100)->Arg(1000)->Arg(4000);
 // second arg pins a backend (its Sha256Backend value: 0=scalar 1=sse2
 // 2=avx2 3=shani 4=avx512) or leaves the runtime dispatch in charge
 // (kAutoBackend); unsupported pins are skipped so the sweep is portable. The
-// auto/scalar ratio here is the tentpole acceptance number recorded by
-// scripts/bench_record.py.
+// auto/scalar ratio is the dispatch ladder's speedup on this host; every rung
+// is bit-identical, which the corpus digest checks pin.
 constexpr int kAutoBackend = -1;
 
 void BM_AnonTableRebuild(benchmark::State& state) {

@@ -9,9 +9,9 @@
 #      check the serve-plane series are present, then scrape /spans and
 #      require valid Chrome trace-event JSON with verify-path spans (the
 #      daemon runs with --span-trace so collection is live);
-#   4. /rekey to epoch 1, then stream one more session and require the sink
+#   4. POST /rekey to epoch 1, then stream one more session and require the sink
 #      to acknowledge every record under the new keys (zero drops);
-#   5. /drain and require the final report to account for every record of
+#   5. require GET /drain to be refused (405), POST /drain and require the final report to account for every record of
 #      every session, then require the daemon process to exit 0;
 #   6. flight-recorder drill on a second daemon: kill -9 a loadgen client
 #      mid-stream, require the digest-mismatch anomaly counter to fire and
@@ -80,7 +80,8 @@ if [[ -z "$tcp_port" || -z "$admin_port" ]]; then
 fi
 echo "daemon up: sessions on :$tcp_port, admin on :$admin_port"
 
-admin() { curl -fsS --max-time 30 "http://127.0.0.1:$admin_port$1"; }
+# admin PATH [curl args...]; /rekey and /drain take -X POST.
+admin() { curl -fsS --max-time 30 "${@:2}" "http://127.0.0.1:$admin_port$1"; }
 
 [[ "$(admin /healthz)" == "ok" ]] || { echo "error: /healthz not ok" >&2; exit 1; }
 
@@ -137,7 +138,7 @@ print(f"/spans ok: {len(spans)} spans over {len(names)} scopes "
 EOF
 
 # --- 4. live rekey, then a full session under the new epoch -----------------
-rekey_json="$(admin /rekey)"
+rekey_json="$(admin /rekey -X POST)"
 [[ "$rekey_json" == '{"epoch":1}' ]] \
   || { echo "error: /rekey returned $rekey_json" >&2; exit 1; }
 
@@ -160,7 +161,13 @@ print(f"post-rekey session acknowledged {lg2['records']} records "
 EOF
 
 # --- 5. drain and account for everything ------------------------------------
-drain_json="$(admin /drain)"
+get_drain="$(curl -sS --max-time 30 -o /dev/null -w '%{http_code}' \
+  "http://127.0.0.1:$admin_port/drain")"
+[[ "$get_drain" == "405" ]] \
+  || { echo "error: GET /drain answered $get_drain, want 405" >&2; exit 1; }
+[[ "$(admin /healthz)" == "ok" ]] \
+  || { echo "error: daemon unhealthy after GET /drain" >&2; exit 1; }
+drain_json="$(admin /drain -X POST)"
 echo "drain: $drain_json"
 python3 - "$workdir/loadgen1.json" "$workdir/loadgen2.json" <<EOF
 import json, sys
@@ -204,7 +211,7 @@ for _ in $(seq 1 100); do
 done
 tcp2_port="$(sed -n 's/^tcp=//p' "$workdir/ports2.txt")"
 admin2_port="$(sed -n 's/^admin=//p' "$workdir/ports2.txt")"
-admin2() { curl -fsS --max-time 30 "http://127.0.0.1:$admin2_port$1"; }
+admin2() { curl -fsS --max-time 30 "${@:2}" "http://127.0.0.1:$admin2_port$1"; }
 echo "flight-drill daemon up: sessions on :$tcp2_port, admin on :$admin2_port"
 
 "$pnm_bin" loadgen --port "$tcp2_port" \
@@ -259,7 +266,7 @@ python3 "$repo_root/scripts/check_flight.py" "$workdir/ondemand.pnmflight" \
   --require-anomaly digest_mismatch --require-provenance --session-events
 echo "flight dumps validated (anomaly-triggered + pnm flight-dump)"
 
-drain2_json="$(admin2 /drain)"
+drain2_json="$(admin2 /drain -X POST)"
 echo "flight-drill drain: $drain2_json"
 wait "$daemon2_pid"
 daemon2_pid=""

@@ -52,4 +52,18 @@ double sink_verifiable_packets_per_second(double hashes_per_second,
   return hashes_per_second / hashes_per_packet;
 }
 
+double expected_exhaustive_sweep(std::size_t n, double p, std::size_t chunk) {
+  p = std::clamp(p, 0.0, 1.0);
+  chunk = std::max<std::size_t>(chunk, 1);
+  // P(highest marker = m) = p (1-p)^(n-m): Vm marks and none above it does.
+  double expected = 0.0;
+  double none_above = 1.0;  // (1-p)^(n-m)
+  for (std::size_t m = n; m >= 1; --m) {
+    const std::size_t swept = std::min((m + chunk - 1) / chunk * chunk, n + 1);
+    expected += p * none_above * static_cast<double>(swept);
+    none_above *= 1.0 - p;
+  }
+  return expected;
+}
+
 }  // namespace pnm::analysis

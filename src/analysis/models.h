@@ -42,4 +42,14 @@ double sink_verifiable_packets_per_second(double hashes_per_second,
                                           std::size_t network_nodes,
                                           double marks_per_packet);
 
+/// Expected anonymous IDs the early-exit exhaustive verify sweeps for one
+/// honest packet on an n-forwarder chain whose forwarders V1..Vn each mark
+/// with probability p (Fig. 4's model). The sweep runs in ascending id,
+/// `chunk` ids at a time, until it has reached the highest-id marker; the
+/// table holds ids 1..n+1 (the forwarders and the source, which does not
+/// mark), so a packet costs its highest marker id rounded up to a whole
+/// chunk and capped at n+1, and a markless packet costs 0:
+///     E = sum_{m=1..n} p (1-p)^(n-m) * min(ceil(m/chunk)*chunk, n+1)
+double expected_exhaustive_sweep(std::size_t n, double p, std::size_t chunk);
+
 }  // namespace pnm::analysis

@@ -13,25 +13,35 @@ namespace {
 
 constexpr std::size_t kMaxRequestBytes = 16 * 1024;
 
+constexpr const char* kText = "text/plain; charset=utf-8";
+
+/// `extra_headers` is zero or more complete "Name: value\r\n" lines.
 std::string http_response(int code, const char* status, const std::string& body,
-                          const char* content_type = "text/plain; charset=utf-8") {
+                          const char* content_type = kText,
+                          const char* extra_headers = "") {
   std::string head = "HTTP/1.0 " + std::to_string(code) + " " + status +
                      "\r\nContent-Type: " + content_type +
                      "\r\nContent-Length: " + std::to_string(body.size()) +
-                     "\r\nConnection: close\r\n\r\n";
+                     "\r\n" + extra_headers + "Connection: close\r\n\r\n";
   return head + body;
 }
 
-/// "GET /drain?x=1 HTTP/1.1" → "/drain". Empty on a garbled request line.
-std::string request_path(const std::string& request) {
+struct RequestLine {
+  std::string method;
+  std::string path;
+};
+
+/// "POST /drain?x=1 HTTP/1.1" → {"POST", "/drain"}. Both empty on a garbled
+/// request line.
+RequestLine parse_request_line(const std::string& request) {
   std::size_t sp1 = request.find(' ');
-  if (sp1 == std::string::npos) return "";
+  if (sp1 == std::string::npos) return {};
   std::size_t sp2 = request.find(' ', sp1 + 1);
-  if (sp2 == std::string::npos) return "";
-  std::string path = request.substr(sp1 + 1, sp2 - sp1 - 1);
-  std::size_t q = path.find('?');
-  if (q != std::string::npos) path.resize(q);
-  return path;
+  if (sp2 == std::string::npos) return {};
+  RequestLine line{request.substr(0, sp1), request.substr(sp1 + 1, sp2 - sp1 - 1)};
+  std::size_t q = line.path.find('?');
+  if (q != std::string::npos) line.path.resize(q);
+  return line;
 }
 
 std::string drain_json(const DrainReport& r) {
@@ -57,10 +67,26 @@ void AdminServer::accept_loop() {
   while (true) {
     Socket sock = listener_.accept_conn();
     if (!sock.valid()) return;
+    sock.set_recv_timeout(kRecvDeadline);
     std::lock_guard<std::mutex> lock(handlers_mu_);
     if (stopped_) return;
-    handlers_.emplace_back([this](Socket s) { handle(std::move(s)); },
-                           std::move(sock));
+    // Join the handlers that have finished, so a periodic scrape does not
+    // pile up one unjoined thread (and its stack) per request until stop().
+    for (auto it = handlers_.begin(); it != handlers_.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = handlers_.erase(it);
+    }
+    Handler& h = handlers_.emplace_back();
+    h.thread = std::thread(
+        [this, &h](Socket s) {
+          handle(std::move(s));
+          h.done.store(true, std::memory_order_release);
+        },
+        std::move(sock));
   }
 }
 
@@ -70,13 +96,17 @@ void AdminServer::handle(Socket sock) {
   while (request.size() < kMaxRequestBytes &&
          request.find("\r\n\r\n") == std::string::npos) {
     long n = sock.recv_some(buf, sizeof(buf));
-    if (n <= 0) break;
+    if (n < 0) return;  // silent past kRecvDeadline, or reset: no answer
+    if (n == 0) break;
     request.append(buf, static_cast<std::size_t>(n));
   }
-  std::string path = request_path(request);
+  const auto [method, path] = parse_request_line(request);
 
   std::string response;
-  if (path == "/healthz") {
+  if ((path == "/drain" || path == "/rekey") && method != "POST") {
+    response = http_response(405, "Method Not Allowed", path + " takes POST\n", kText,
+                             "Allow: POST\r\n");
+  } else if (path == "/healthz") {
     response = server_.healthy() ? http_response(200, "OK", "ok\n")
                                  : http_response(503, "Service Unavailable", "drained\n");
   } else if (path == "/metrics") {
@@ -130,12 +160,12 @@ void AdminServer::stop() {
   }
   listener_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> handlers;
+  std::list<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     handlers.swap(handlers_);
   }
-  for (auto& t : handlers) t.join();
+  for (auto& h : handlers) h.thread.join();
 }
 
 }  // namespace pnm::serve

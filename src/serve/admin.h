@@ -14,16 +14,21 @@
 //   POST /rekey    → quiesce the pipeline, swap the VerifierBank to the next
 //                    campaign key epoch, respond {"epoch": N}
 //
-// GET is accepted for /drain and /rekey too (curl-friendly in smoke tests).
-// The responder speaks just enough HTTP for curl and the CI scripts: request
-// line + headers in, Content-Length + Connection: close out.
+// /drain and /rekey change the daemon, so any other method on them gets
+// 405 Method Not Allowed (Allow: POST): a crawler or a mistyped scrape
+// cannot drain it. The responder speaks just enough HTTP for curl and the
+// CI scripts: request line + headers in, Content-Length + Connection: close
+// out. Each connection gets one handler thread and kRecvDeadline to send its
+// request; the accept loop joins finished handlers before starting the next.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/socket.h"
 
@@ -33,6 +38,10 @@ class Server;
 
 class AdminServer {
  public:
+  /// How long a connection may take to send its request. A client that
+  /// stays silent past it gets no answer, so stop() never waits longer.
+  static constexpr std::chrono::seconds kRecvDeadline{5};
+
   explicit AdminServer(Server& server) : server_(server) {}
   ~AdminServer() { stop(); }
   AdminServer(const AdminServer&) = delete;
@@ -42,11 +51,17 @@ class AdminServer {
   bool start(std::uint16_t port, std::string* error);
   std::uint16_t port() const { return listener_.port(); }
 
-  /// Close the listener and join every handler. Idempotent. Must not be
-  /// called from a handler thread (a /drain handler joins elsewhere first).
+  /// Close the listener and join every handler; a silent client holds this
+  /// up for at most kRecvDeadline. Idempotent. Must not be called from a
+  /// handler thread (a /drain handler joins elsewhere first).
   void stop();
 
  private:
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void accept_loop();
   void handle(Socket sock);
 
@@ -54,7 +69,7 @@ class AdminServer {
   Listener listener_;
   std::thread accept_thread_;
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;  // stable addresses: each thread sets its done
   bool stopped_ = false;
 };
 

@@ -56,7 +56,8 @@ struct LoadgenStats {
   double rtt_max_ms = 0.0;
   std::vector<SessionResult> session_results;
 
-  /// Flat JSON object (stable key order) for BENCH_*.json's serve section.
+  /// Flat JSON object (stable key order): `pnm loadgen --json` writes it and
+  /// scripts/serve_smoke.sh reads it.
   std::string to_json() const;
 };
 

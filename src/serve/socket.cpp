@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -84,6 +85,13 @@ Socket Socket::connect_unix(const std::string& path, std::string* error) {
 void Socket::set_nodelay() {
   int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+void Socket::set_recv_timeout(std::chrono::milliseconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>(timeout.count() % 1000 * 1000);
+  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 bool Socket::send_all(ByteView data) {

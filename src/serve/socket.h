@@ -11,6 +11,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -40,6 +41,9 @@ class Socket {
   /// protocol is request/response at EOF time — a 40 ms Nagle stall per
   /// digest would dominate small-trace latencies.
   void set_nodelay();
+
+  /// Make recv_some() give up with -1 once `timeout` passes without data.
+  void set_recv_timeout(std::chrono::milliseconds timeout);
 
   /// Write the whole buffer (retrying short writes / EINTR). False on error
   /// or peer close.

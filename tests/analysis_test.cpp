@@ -1,6 +1,10 @@
 // Analytical model tests — including the paper's own Fig. 4 anchor points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+
 #include "analysis/models.h"
 
 namespace pnm::analysis {
@@ -71,6 +75,47 @@ TEST(SinkThroughput, MatchesPaperFeasibilityArgument) {
   EXPECT_GT(rate, 500.0);
   EXPECT_GT(rate, 50.0 * 5);
   EXPECT_EQ(sink_verifiable_packets_per_second(1e6, 0, 0.0), 0.0);
+}
+
+/// The exhaustive-sweep expectation by enumeration: every subset of marking
+/// forwarders V1..Vn (bit m-1 = Vm marks), weighted by its probability.
+double brute_force_sweep(std::size_t n, double p, std::size_t chunk) {
+  double expected = 0.0;
+  for (std::size_t set = 0; set < (std::size_t{1} << n); ++set) {
+    std::size_t marks = 0, highest = 0;
+    for (std::size_t m = 1; m <= n; ++m) {
+      if ((set >> (m - 1)) & 1) {
+        ++marks;
+        highest = m;
+      }
+    }
+    const std::size_t swept =
+        highest == 0 ? 0 : std::min((highest + chunk - 1) / chunk * chunk, n + 1);
+    expected += std::pow(p, static_cast<double>(marks)) *
+                std::pow(1.0 - p, static_cast<double>(n - marks)) *
+                static_cast<double>(swept);
+  }
+  return expected;
+}
+
+TEST(ExhaustiveSweep, MatchesEnumerationOverMarkingSubsets) {
+  for (std::size_t n = 0; n <= 12; ++n)
+    for (double p : {0.05, 0.375, 0.8, 1.0})
+      for (std::size_t chunk : {1, 3, 4, 16}) {
+        const double want = brute_force_sweep(n, p, chunk);
+        EXPECT_NEAR(expected_exhaustive_sweep(n, p, chunk), want, 1e-12 * (1.0 + want))
+            << "n=" << n << " p=" << p << " chunk=" << chunk;
+      }
+}
+
+TEST(ExhaustiveSweep, Extremes) {
+  // Nobody marks: no packet carries a mark to resolve, so nothing is swept.
+  EXPECT_EQ(expected_exhaustive_sweep(200, 0.0, 16), 0.0);
+  // Everybody marks: Vn is always the highest marker, ceil(200/16)*16 = 208
+  // is capped at the 201-id table.
+  EXPECT_DOUBLE_EQ(expected_exhaustive_sweep(200, 1.0, 16), 201.0);
+  // A one-id step sweeps exactly to the highest marker.
+  EXPECT_DOUBLE_EQ(expected_exhaustive_sweep(3, 1.0, 1), 3.0);
 }
 
 }  // namespace

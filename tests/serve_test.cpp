@@ -6,15 +6,20 @@
 //   - graceful drain lets in-flight work complete and reports a global
 //     digest that matches replay when arrival order is a single stream;
 //   - live /rekey advances the key epoch without dropping a single record;
-//   - sessions for a different campaign are refused at the handshake.
+//   - sessions for a different campaign are refused at the handshake;
+//   - the admin plane only drains or re-keys on POST, and neither a silent
+//     admin client nor a stream of scrapes holds threads past their request.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -24,6 +29,7 @@
 #include "core/campaign.h"
 #include "ingest/replay.h"
 #include "obs/span.h"
+#include "serve/admin.h"
 #include "serve/loadgen.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -349,17 +355,18 @@ TEST(Serve, MetricsExposeServePlane) {
   server->drain();
 }
 
-// Minimal HTTP/1.0 GET against the admin plane: send the request line, read
-// until the server closes. The admin responder always sets Connection: close,
-// so EOF delimits the response.
-std::string admin_http_get(std::uint16_t port, const std::string& path) {
+// Minimal HTTP/1.0 request against the admin plane: send the request line,
+// read until the server closes. The admin responder always sets Connection:
+// close, so EOF delimits the response.
+std::string admin_http(std::uint16_t port, const std::string& method,
+                       const std::string& path) {
   std::string error;
   serve::Socket sock = serve::Socket::connect_tcp("127.0.0.1", port, &error);
   if (!sock.valid()) {
     ADD_FAILURE() << "admin connect failed: " << error;
     return "";
   }
-  std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
+  std::string req = method + " " + path + " HTTP/1.0\r\n\r\n";
   if (!sock.send_all(ByteView(reinterpret_cast<const std::uint8_t*>(req.data()),
                               req.size()))) {
     ADD_FAILURE() << "admin send failed";
@@ -383,7 +390,7 @@ TEST(Serve, SpansEndpointExposesTraceRing) {
   ASSERT_NE(server, nullptr);
 
   // With an empty ring the endpoint still answers well-formed JSON.
-  std::string empty = admin_http_get(server->admin_port(), "/spans");
+  std::string empty = admin_http(server->admin_port(), "GET", "/spans");
   EXPECT_NE(empty.find("200 OK"), std::string::npos) << empty;
   EXPECT_NE(empty.find("application/json"), std::string::npos) << empty;
   EXPECT_NE(empty.find("\"traceEvents\""), std::string::npos) << empty;
@@ -396,7 +403,7 @@ TEST(Serve, SpansEndpointExposesTraceRing) {
   serve::LoadgenStats stats = serve::run_loadgen(lg);
   ASSERT_TRUE(stats.ok) << stats.error;
 
-  std::string traced = admin_http_get(server->admin_port(), "/spans");
+  std::string traced = admin_http(server->admin_port(), "GET", "/spans");
   EXPECT_NE(traced.find("200 OK"), std::string::npos) << traced;
   EXPECT_NE(traced.find("\"ph\":\"X\""), std::string::npos) << traced;
   EXPECT_NE(traced.find("verify_batch"), std::string::npos) << traced;
@@ -404,6 +411,96 @@ TEST(Serve, SpansEndpointExposesTraceRing) {
   server->drain();
   spans.disable();
   spans.clear();
+}
+
+TEST(Serve, DrainAndRekeyArePostOnly) {
+  const auto& fx = serve_fixture();
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  const std::uint16_t admin = server->admin_port();
+
+  // A stray GET (a crawler, a mistyped scrape) changes nothing.
+  for (const char* path : {"/drain", "/rekey"}) {
+    std::string refused = admin_http(admin, "GET", path);
+    EXPECT_NE(refused.find("405 Method Not Allowed"), std::string::npos) << refused;
+    EXPECT_NE(refused.find("Allow: POST\r\n"), std::string::npos) << refused;
+  }
+  EXPECT_TRUE(server->healthy());
+  EXPECT_EQ(server->key_epoch(), 0u);
+  EXPECT_NE(admin_http(admin, "GET", "/healthz").find("200 OK"), std::string::npos);
+
+  serve::LoadgenConfig lg;
+  lg.port = server->tcp_port();
+  lg.traces = {fx.trace_a};
+  serve::LoadgenStats stats = serve::run_loadgen(lg);
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.session_results[0].digest_hex, fx.replay_a.verdict_digest);
+
+  std::string drained = admin_http(admin, "POST", "/drain");
+  EXPECT_NE(drained.find("200 OK"), std::string::npos) << drained;
+  EXPECT_NE(drained.find("\"records\":" + std::to_string(fx.replay_a.stats.records)),
+            std::string::npos)
+      << drained;
+  EXPECT_NE(drained.find("\"digest\":\""), std::string::npos) << drained;
+  EXPECT_FALSE(server->healthy());
+}
+
+TEST(Serve, SilentAdminClientDoesNotHoldUpShutdown) {
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  const std::uint16_t admin = server->admin_port();
+  std::string error;
+  serve::Socket silent = serve::Socket::connect_tcp("127.0.0.1", admin, &error);
+  ASSERT_TRUE(silent.valid()) << error;
+  // Connections are accepted in order, so once this request is answered the
+  // silent one has its own handler, blocked waiting for a request line.
+  EXPECT_NE(admin_http(admin, "GET", "/healthz").find("200 OK"), std::string::npos);
+
+  auto destroyed = std::async(std::launch::async, [&server] { server.reset(); });
+  const bool finished =
+      destroyed.wait_for(serve::AdminServer::kRecvDeadline + std::chrono::seconds(5)) ==
+      std::future_status::ready;
+  silent.close();  // lets a handler with no deadline finish, so the test ends
+  destroyed.wait();
+  EXPECT_TRUE(finished) << "~Server waited on a silent admin client past the "
+                           "receive deadline";
+}
+
+/// A numeric field of /proc/self/status ("Threads", "VmSize" in kB).
+long proc_status(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind(field + ":", 0) == 0)
+      return std::strtol(line.c_str() + field.size() + 1, nullptr, 10);
+  ADD_FAILURE() << "no " << field << " in /proc/self/status";
+  return 0;
+}
+
+TEST(Serve, AdminHandlersAreJoinedAsRequestsFinish) {
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  const std::uint16_t admin = server->admin_port();
+  ASSERT_NE(admin_http(admin, "GET", "/healthz").find("200 OK"), std::string::npos);
+
+  // A finished but unjoined thread has left the kernel's thread count, yet it
+  // keeps its stack mapped until join, so address space shows the build-up.
+  pthread_attr_t attr;
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  const long stack_kb = static_cast<long>(stack_bytes / 1024);
+
+  const long threads_before = proc_status("Threads");
+  const long vm_before_kb = proc_status("VmSize");
+  for (int i = 0; i < 200; ++i)
+    ASSERT_NE(admin_http(admin, "GET", "/healthz").find("200 OK"), std::string::npos);
+  EXPECT_LE(proc_status("Threads"), threads_before + 2);
+  EXPECT_LT(proc_status("VmSize") - vm_before_kb, 20 * stack_kb)
+      << "200 scrapes left more than 20 thread stacks (" << stack_kb
+      << " kB each) mapped";
+  server->drain();
 }
 
 }  // namespace

@@ -12,9 +12,14 @@
 // A count that rises is a regression. When a change is meant to lower one,
 // regenerate the pins in the same change and say why:
 //   PNM_UPDATE_GOLDENS=1 ./work_counts_test
+//
+// Each PNM trace also logs the paper-model expectation of its exhaustive
+// sweep (analysis::expected_exhaustive_sweep) next to the measured PRF
+// evaluations per packet. The log is for reading; the pins are the gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/models.h"
 #include "core/campaign.h"
 #include "crypto/keys.h"
 #include "marking/scheme.h"
@@ -101,9 +107,9 @@ std::size_t ring_expansions(const Campaign& c) {
 }
 
 /// "<strategy> <batching> packets=.. prf_evals=.. cache_hits=.. ..." for one
-/// run of the whole trace.
-std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole) {
-  util::Counters counters;
+/// run of the whole trace, metered into `counters`.
+std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole,
+                     util::Counters& counters) {
   sink::BatchVerifierConfig bcfg;
   bcfg.threads = 1;
   bcfg.strategy = strategy;
@@ -126,12 +132,36 @@ std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole
   return line.str();
 }
 
+/// Fig. 4's model of the exhaustive sweep (every forwarder of the chain marks
+/// with the trace's probability, the sweep steps 16 ids on every SHA rung)
+/// against the PRF evaluations per packet measured on the trace. Each trace's
+/// attack moves the measurement off the honest-chain model: stripped marks
+/// lower it, and an invalid mark, which sweeps the whole table, raises it.
+void log_model_vs_measured(const std::string& name, const Campaign& c,
+                           const util::Counters& exhaustive) {
+  const std::size_t forwarders = c.topo.node_count() - 2;  // minus sink, source
+  const double p = c.scheme->config().mark_probability;
+  const double packets = static_cast<double>(exhaustive.get(util::Metric::kPacketsVerified));
+  const double measured =
+      packets > 0 ? static_cast<double>(exhaustive.get(util::Metric::kPrfEvals)) / packets
+                  : 0.0;
+  std::printf("[ model    ] %s: n=%zu p=%g exhaustive sweep model %.3f, measured %.3f "
+              "PRF evals/packet\n",
+              name.c_str(), forwarders, p,
+              analysis::expected_exhaustive_sweep(forwarders, p, 16), measured);
+}
+
 std::string compute_pins(const std::string& name) {
   Campaign c = load(name);
   std::string out;
   for (auto strategy : {sink::BatchStrategy::kExhaustive, sink::BatchStrategy::kScoped}) {
     if (strategy == sink::BatchStrategy::kScoped && !c.pnm) continue;
-    for (bool whole : {false, true}) out += run_line(c, strategy, whole) + '\n';
+    for (bool whole : {false, true}) {
+      util::Counters counters;
+      out += run_line(c, strategy, whole, counters) + '\n';
+      if (c.pnm && strategy == sink::BatchStrategy::kExhaustive && !whole)
+        log_model_vs_measured(name, c, counters);
+    }
   }
   return out;
 }

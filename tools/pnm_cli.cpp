@@ -52,10 +52,11 @@
 //       Long-running sink daemon: accepts concurrent client sessions over
 //       TCP (loopback) and an optional unix socket, streams their
 //       `.pnmtrace` frames through one sharded ingest pipeline, and exposes
-//       an admin plane (/metrics /healthz /drain /rekey) on a second port.
-//       Runs until something hits /drain; then prints the final record
-//       count and global verdict digest. --port-file writes the resolved
-//       tcp/admin ports (ephemeral binds) for scripts.
+//       an admin plane on a second port: GET /metrics /healthz /spans
+//       /provenance /flight, POST /drain /rekey (any other method on those
+//       two answers 405). Runs until something POSTs /drain; then prints the
+//       final record count and global verdict digest. --port-file writes the
+//       resolved tcp/admin ports (ephemeral binds) for scripts.
 //
 //   pnm loadgen   --traces A[,B,...] (--port P | --unix PATH) [--host H]
 //                 [--connections M] [--repeat N] [--ping-every K]

@@ -51,9 +51,9 @@ Outcome run(bool attack, bool defend, std::uint64_t seed) {
   for (pnm::NodeId v = 1; v < topo.node_count(); ++v) {
     if (v == mole) continue;
     pnm::Rng node_rng(5000 + v);
-    sim.set_node_handler(v, [&, node_rng](net::Packet&& p, pnm::NodeId self) mutable {
+    sim.set_node_handler(v, [&, node_rng](net::Packet& p, pnm::NodeId self) mutable {
       scheme->mark(p, self, keys.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 

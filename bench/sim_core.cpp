@@ -1,9 +1,15 @@
 // Simulator event-core microbenchmarks (google-benchmark):
 //
-//   BM_SimulatorEvents — raw event-dispatch rate (events/s) on the
-//                        typed-slab + calendar-queue core: a 1k-node chain
-//                        flooded from 50 sources, no marking or crypto, so
-//                        the queue and dispatch dominate;
+//   BM_SimulatorEvents — event-dispatch rate on the packet-slab +
+//                        calendar-queue core: a 1k-node chain flooded from
+//                        50 sources, no marking or crypto, so the queue and
+//                        dispatch dominate. items/s is events/s; hops_per_s
+//                        counts delivered hops, the work that stays fixed.
+//                        Radio-free events are pushed only when a packet
+//                        waits for the radio, which roughly halved the
+//                        events per run by design (511.5k -> ~257.6k), so
+//                        items/s cannot be compared with runs of the eager
+//                        core: compare hops_per_s or the wall time per run;
 //   BM_CampaignSweep   — whole campaign sweeps (attacks × seeds of
 //                        run_chain_experiment) through net::CampaignRunner at
 //                        --jobs = Arg(0); items/s is runs/s, the cross-run
@@ -30,6 +36,12 @@ void BM_SimulatorEvents(benchmark::State& state) {
   pnm::net::RoutingTable routing(topo, pnm::net::RoutingStrategy::kTree);
   std::size_t total_events = 0;
   std::size_t delivered = 0;
+  // Lossless flood: every packet crosses all hops from its source.
+  std::size_t hops_per_run = 0;
+  for (std::size_t s = 0; s < 50; ++s) {
+    pnm::NodeId src = static_cast<pnm::NodeId>(kForwarders + 1 - s * 20);
+    hops_per_run += 10 * routing.hops_to_sink(src);
+  }
   for (auto _ : state) {
     state.PauseTiming();
     pnm::net::Simulator sim(topo, routing, pnm::net::LinkModel{},
@@ -41,7 +53,7 @@ void BM_SimulatorEvents(benchmark::State& state) {
           pnm::net::Packet p;
           p.report =
               pnm::net::Report{static_cast<std::uint32_t>(src),
-                               static_cast<std::uint32_t>(i), 0, 0}
+                               static_cast<std::uint16_t>(i), 0, 0}
                   .encode();
           p.true_source = src;
           p.seq = i;
@@ -60,6 +72,8 @@ void BM_SimulatorEvents(benchmark::State& state) {
     std::abort();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(total_events));
+  state.counters["hops_per_s"] = benchmark::Counter(
+      static_cast<double>(hops_per_run * state.iterations()), benchmark::Counter::kIsRate);
   state.counters["events_per_run"] =
       static_cast<double>(total_events) /
       static_cast<double>(state.iterations() ? state.iterations() : 1);

@@ -38,10 +38,10 @@ int main() {
   net::Simulator sim(topo, routing, net::LinkModel{}, net::EnergyModel{}, 606);
   for (NodeId v = 1; v < topo.node_count(); ++v) {
     Rng node_rng(8000 + v);
-    sim.set_node_handler(v, [&, node_rng](net::Packet&& p, NodeId self) mutable {
+    sim.set_node_handler(v, [&, node_rng](net::Packet& p, NodeId self) mutable {
       if (std::find(moles.begin(), moles.end(), self) == moles.end())
         scheme->mark(p, self, keys.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 

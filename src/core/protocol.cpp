@@ -21,42 +21,35 @@ void Deployment::install() {
     for (auto& [node, behavior] : scenario_.extra_forwarders)
       if (node == v) extra = behavior.get();
     if (extra) {
-      sim_.set_node_handler(v, [this, extra](net::Packet&& p, NodeId self) {
+      sim_.set_node_handler(v, [this, extra](net::Packet& p, NodeId self) {
         attack::MoleContext ctx{self, &scheme_, &ring_, &mole_rng_};
-        if (extra->on_forward(p, ctx) == attack::ForwardAction::kDrop)
-          return std::optional<net::Packet>{};
-        return std::optional<net::Packet>{std::move(p)};
+        return extra->on_forward(p, ctx) != attack::ForwardAction::kDrop;
       });
       continue;
     }
     if (v == scenario_.forwarder && scenario_.forwarder_mole) {
-      sim_.set_node_handler(v, [this](net::Packet&& p, NodeId self) {
+      sim_.set_node_handler(v, [this](net::Packet& p, NodeId self) {
         attack::MoleContext ctx{self, &scheme_, &ring_, &mole_rng_};
-        attack::ForwardAction action = scenario_.forwarder_mole->on_forward(p, ctx);
-        if (action == attack::ForwardAction::kDrop) return std::optional<net::Packet>{};
-        return std::optional<net::Packet>{std::move(p)};
+        return scenario_.forwarder_mole->on_forward(p, ctx) != attack::ForwardAction::kDrop;
       });
       continue;
     }
     if (v == scenario_.source) {
       // The source mole relays other traffic without marking: leaving honest
-      // marks would hand the sink its identity.
-      sim_.set_node_handler(v, [](net::Packet&& p, NodeId) {
-        return std::optional<net::Packet>{std::move(p)};
-      });
+      // marks would hand the sink its identity. No handler forwards as is.
+      sim_.clear_node_handler(v);
       continue;
     }
     // Legitimate forwarder: mark with own key and an independent stream;
     // each mark's hashing is charged to the node's CPU energy budget.
     Rng node_rng = master_rng_.fork(0x1000u + v);
-    sim_.set_node_handler(
-        v, [this, node_rng](net::Packet&& p, NodeId self) mutable {
-          std::size_t before = p.marks.size();
-          scheme_.mark(p, self, keys_.key_unchecked(self), node_rng);
-          std::size_t added = p.marks.size() - before;
-          if (added) sim_.energy().on_compute(self, added * scheme_.hashes_per_mark());
-          return std::optional<net::Packet>{std::move(p)};
-        });
+    sim_.set_node_handler(v, [this, node_rng](net::Packet& p, NodeId self) mutable {
+      std::size_t before = p.marks.size();
+      scheme_.mark(p, self, keys_.key_unchecked(self), node_rng);
+      std::size_t added = p.marks.size() - before;
+      if (added) sim_.energy().on_compute(self, added * scheme_.hashes_per_mark());
+      return true;
+    });
   }
 }
 

@@ -20,14 +20,12 @@ bool SefLayer::passes(NodeId self, const net::Packet& p) const {
 }
 
 net::NodeHandler SefLayer::wrap(net::NodeHandler inner, std::size_t* dropped) const {
-  return [this, inner = std::move(inner), dropped](
-             net::Packet&& p, NodeId self) -> std::optional<net::Packet> {
+  return [this, inner = std::move(inner), dropped](net::Packet& p, NodeId self) {
     if (!passes(self, p)) {
       if (dropped) ++*dropped;
-      return std::nullopt;
+      return false;
     }
-    if (inner) return inner(std::move(p), self);
-    return std::optional<net::Packet>{std::move(p)};
+    return !inner || inner(p, self);
   };
 }
 

@@ -1,5 +1,9 @@
 #include "marking/mark.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cstring>
+
 namespace pnm::marking {
 
 Bytes message_prefix(const net::Packet& p, std::size_t mark_count) {
@@ -16,11 +20,31 @@ Bytes nested_mac_input(const net::Packet& p, std::size_t mark_count, ByteView id
   // Leading family tag: without it, a first nested mark (empty prefix) would
   // be byte-identical to an AMS mark over the same report — cross-scheme
   // confusion caught by MarkingFixture.CrossSchemeConfusionRejected.
-  ByteWriter w;
-  w.u8(0xA0);  // domain tag: nested-family marking MAC
-  w.raw(message_prefix(p, mark_count));
-  w.blob16(id_field);
-  return std::move(w).take();
+  //
+  // Byte for byte: u8(0xA0) || message_prefix(p, mark_count) ||
+  // blob16(id_field), written into one allocation of the exact size.
+  const std::size_t marks = std::min(mark_count, p.marks.size());
+  std::size_t size = 1 + 2 + p.report.size() + 2 + id_field.size();
+  for (std::size_t i = 0; i < marks; ++i)
+    size += 4 + p.marks[i].id_field.size() + p.marks[i].mac.size();
+  Bytes out(size);
+  std::uint8_t* o = out.data();
+  auto blob16 = [&o](ByteView data) {
+    const auto n = static_cast<std::uint16_t>(data.size());
+    *o++ = static_cast<std::uint8_t>(n);
+    *o++ = static_cast<std::uint8_t>(n >> 8);
+    if (!data.empty()) std::memcpy(o, data.data(), data.size());
+    o += data.size();
+  };
+  *o++ = 0xA0;  // domain tag: nested-family marking MAC
+  blob16(p.report);
+  for (std::size_t i = 0; i < marks; ++i) {
+    blob16(p.marks[i].id_field);
+    blob16(p.marks[i].mac);
+  }
+  blob16(id_field);
+  assert(o == out.data() + out.size());
+  return out;
 }
 
 Bytes ams_mac_input(const net::Packet& p, ByteView id_field) {

@@ -24,7 +24,7 @@ void CalendarQueue::refill_bottom() {
       bottom_hi_ = cur_slot_ >= kBuckets ? span_hi_ : span_lo_ + cur_slot_ * width_;
       bottom_.swap(buckets_[idx]);  // capacities circulate between tiers
       occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-      std::sort(bottom_.begin(), bottom_.end(), later);
+      if (bottom_.size() > 1) std::sort(bottom_.begin(), bottom_.end(), later);
       return;
     }
     respan();  // resets cur_slot_ and bottom_hi_
@@ -55,17 +55,19 @@ void CalendarQueue::respan() {
   cur_slot_ = 0;
   bottom_hi_ = span_lo_;
 
-  std::vector<EventRef> keep;
+  // Events past the new span stay in overflow: collect them in a member
+  // buffer and swap, so neither vector's capacity is given back.
+  respan_keep_.clear();
   for (const EventRef& ev : overflow_) {
     if (ev.time < span_hi_) {
       std::size_t idx = static_cast<std::size_t>((ev.time - span_lo_) / width_);
       if (idx >= kBuckets) idx = kBuckets - 1;
       push_bucket(idx, ev);
     } else {
-      keep.push_back(ev);
+      respan_keep_.push_back(ev);
     }
   }
-  overflow_.swap(keep);
+  overflow_.swap(respan_keep_);
 }
 
 }  // namespace pnm::net

@@ -1,18 +1,20 @@
-// The simulator's fast event core: typed events on a slab allocator plus a
-// two-tier calendar queue that pops in exact (time, FIFO-order) order.
+// The simulator's event core: a calendar queue of 24-byte POD event refs
+// that pops in exact (time, FIFO-order) order, plus the address-stable slab
+// that holds what the refs point at.
 //
-// The old core paid three per-hop taxes: a heap-allocated std::function
-// closure per scheduled hop (the arrive closure captures a whole Packet), a
-// second deep copy of that closure — Packet included — because
-// priority_queue::top() is const and cannot be moved from, and O(log n)
-// heap churn on every push/pop. Here an event is a 3-way variant (PumpTx /
-// Arrive / Call) living in a recycled slab slot; the queue holds 16-byte
-// POD refs {time, order, slot}; packets are moved, never copied.
+// An event carries no payload of its own. `EventRef::id` is a u32 handle
+// whose meaning its kind fixes: the transmitting node of a kRadioFree, the
+// packet-slab slot of a kArrive (the slot also names both ends of the hop),
+// the callback-slab slot of a kCall. Packets therefore stay in one slab slot
+// from injection to delivery or drop and are never moved between queues.
 //
-// Determinism: the queue is keyed on exactly the same (time, order) total
-// order as the old binary heap, where `order` is the monotone schedule
-// counter, so dispatch order — and therefore RNG consumption order and
-// every downstream digest — is bit-identical to the heap implementation.
+// Determinism: the queue is keyed on the same (time, order) total order as
+// the original binary heap of closures, where `order` is the monotone
+// schedule counter, so dispatch order — and therefore RNG consumption order
+// and every downstream digest — is bit-identical to the heap implementation.
+// The order of an event is fixed when it is reserved, not when it is pushed:
+// the simulator reserves a radio-free event's (time, order) at tx start and
+// pushes it later, or never (see simulator.h); the pop order is the same.
 //
 // Queue structure (tiers, earliest first):
 //   bottom_   sorted vector (descending, pop from the back = O(1) min),
@@ -36,65 +38,77 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
-
-#include "net/report.h"
-#include "util/ids.h"
 
 namespace pnm::net {
 
 enum class SimEventKind : std::uint8_t {
-  kPumpTx,  ///< a node's radio finished serializing; try the next queued tx
-  kArrive,  ///< a packet reaches the far end of a hop
-  kCall,    ///< user callback from Simulator::schedule()
+  kRadioFree,  ///< a node's radio finished serializing; send its next queued packet
+  kArrive,     ///< a packet reaches the far end of a hop
+  kCall,       ///< user callback from Simulator::schedule()
 };
 
-struct SimEventNode {
-  SimEventKind kind = SimEventKind::kCall;
-  NodeId a = kInvalidNode;   ///< kPumpTx: transmitter; kArrive: receiver
-  NodeId b = kInvalidNode;   ///< kArrive: radio-layer previous hop
-  Packet packet;             ///< kArrive payload (moved in, moved out)
-  std::function<void()> fn;  ///< kCall payload
-  std::uint32_t next_free = 0;
-};
+/// The null handle of a Slab (and of lists threaded through its slots).
+inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-/// Slab of event nodes with an intrusive free list. Released slots keep
-/// their moved-from buffers, so a recycled Arrive slot usually re-lands a
-/// packet without touching the heap; slab size tracks the queue's
-/// high-water mark, not the event count.
-class EventArena {
+/// Address-stable slab with an intrusive free list: slots live in fixed-size
+/// chunks that never move, so a reference to one slot stays valid while
+/// others are allocated. A node handler can inject (growing the slab) and
+/// then keep writing through the Packet& it was handed. Slots are recycled
+/// as they are; a value is overwritten by the next owner, not cleared on
+/// release. Slab size tracks the high-water mark of live slots.
+template <typename T>
+class Slab {
  public:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
   std::uint32_t alloc() {
-    if (free_head_ != kNone) {
+    ++live_;
+    if (free_head_ != kNoSlot) {
       std::uint32_t slot = free_head_;
-      free_head_ = nodes_[slot].next_free;
+      free_head_ = entry(slot).next_free;
       return slot;
     }
-    nodes_.emplace_back();
-    return static_cast<std::uint32_t>(nodes_.size() - 1);
+    if ((size_ & kChunkMask) == 0) chunks_.push_back(std::make_unique<Entry[]>(kChunk));
+    return size_++;
   }
 
   void release(std::uint32_t slot) {
-    nodes_[slot].next_free = free_head_;
+    assert(live_ > 0);
+    --live_;
+    entry(slot).next_free = free_head_;
     free_head_ = slot;
   }
 
-  SimEventNode& operator[](std::uint32_t slot) { return nodes_[slot]; }
+  T& operator[](std::uint32_t slot) { return entry(slot).value; }
+  /// Slots allocated and not yet released.
+  std::size_t live() const { return live_; }
 
  private:
-  std::vector<SimEventNode> nodes_;
-  std::uint32_t free_head_ = kNone;
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunk = 1u << kChunkBits;
+  static constexpr std::uint32_t kChunkMask = kChunk - 1;
+
+  struct Entry {
+    T value{};
+    std::uint32_t next_free = kNoSlot;
+  };
+  Entry& entry(std::uint32_t slot) {
+    return chunks_[slot >> kChunkBits][slot & kChunkMask];
+  }
+
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::uint32_t size_ = 0;
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t live_ = 0;
 };
 
-/// POD handle the queue sorts; the payload stays put in the arena.
+/// POD handle the queue sorts; whatever it refers to stays put in a slab.
 struct EventRef {
   double time;
   std::uint64_t order;
-  std::uint32_t slot;
+  std::uint32_t id;  ///< node, packet slot or callback slot, by kind
+  SimEventKind kind;
 };
 
 class CalendarQueue {
@@ -104,9 +118,9 @@ class CalendarQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  void push(double time, std::uint64_t order, std::uint32_t slot) {
+  void push(const EventRef& ev) {
     ++size_;
-    EventRef ev{time, order, slot};
+    const double time = ev.time;
     if (time < bottom_hi_) {
       bottom_.insert(std::lower_bound(bottom_.begin(), bottom_.end(), ev, later),
                      ev);
@@ -158,6 +172,7 @@ class CalendarQueue {
   /// the next occupied bucket instead of stepping through empty ones.
   std::array<std::uint64_t, kBuckets / 64> occupied_{};
   std::vector<EventRef> overflow_;
+  std::vector<EventRef> respan_keep_;  ///< respan()'s scratch, capacity reused
   double span_lo_ = 0.0;
   double width_ = 0.0;
   double span_hi_ = -std::numeric_limits<double>::infinity();

@@ -1,5 +1,6 @@
 #include "net/simulator.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -29,8 +30,7 @@ Simulator::Simulator(const Topology& topo, const RoutingTable& routing, LinkMode
       rng_(seed),
       handlers_(topo.node_count()),
       isolated_(topo.node_count(), false),
-      txq_(topo.node_count()),
-      busy_until_(topo.node_count(), 0.0) {}
+      radios_(topo.node_count()) {}
 
 void Simulator::set_node_handler(NodeId id, NodeHandler handler) {
   handlers_.at(id) = std::move(handler);
@@ -43,37 +43,21 @@ void Simulator::isolate(NodeId id) {
   // The node's radio goes silent immediately: whatever it had queued for
   // transmission is discarded (and counted), never sent. Without this the
   // backlog of a just-isolated mole would still leak onto the air.
-  std::queue<PendingTx>& q = txq_[id];
-  packets_isolated_dropped_ += q.size();
-  while (!q.empty()) q.pop();
+  Radio& r = radios_[id];
+  for (std::uint32_t h = r.head; h != kNoSlot;) {
+    std::uint32_t next = packets_[h].next;
+    drop(h, packets_isolated_dropped_);
+    h = next;
+  }
+  r.head = r.tail = kNoSlot;
+  r.queued = 0;
 }
 
 void Simulator::schedule(double delay_s, std::function<void()> fn) {
   assert(delay_s >= 0.0);
-  std::uint32_t slot = arena_.alloc();
-  SimEventNode& node = arena_[slot];
-  node.kind = SimEventKind::kCall;
-  node.fn = std::move(fn);
-  calq_.push(now_ + delay_s, next_order_++, slot);
-}
-
-void Simulator::schedule_pump(double delay_s, NodeId from) {
-  std::uint32_t slot = arena_.alloc();
-  SimEventNode& node = arena_[slot];
-  node.kind = SimEventKind::kPumpTx;
-  node.a = from;
-  calq_.push(now_ + delay_s, next_order_++, slot);
-}
-
-void Simulator::schedule_arrive(double delay_s, NodeId at, NodeId from,
-                                Packet packet) {
-  std::uint32_t slot = arena_.alloc();
-  SimEventNode& node = arena_[slot];
-  node.kind = SimEventKind::kArrive;
-  node.a = at;
-  node.b = from;
-  node.packet = std::move(packet);
-  calq_.push(now_ + delay_s, next_order_++, slot);
+  std::uint32_t slot = calls_.alloc();
+  calls_[slot] = std::move(fn);
+  calq_.push({now_ + delay_s, next_order_++, slot, SimEventKind::kCall});
 }
 
 void Simulator::inject(NodeId origin, Packet packet) {
@@ -83,77 +67,101 @@ void Simulator::inject(NodeId origin, Packet packet) {
     PNM_WARN << "inject: node " << origin << " has no route to the sink";
     return;
   }
-  transmit(origin, next, std::move(packet));
+  std::uint32_t h = packets_.alloc();
+  packets_[h].packet = std::move(packet);
+  transmit(origin, next, h);
 }
 
-void Simulator::transmit(NodeId from, NodeId to, Packet packet) {
+void Simulator::transmit(NodeId from, NodeId to, std::uint32_t h) {
   assert(topo_.are_neighbors(from, to));
-  if (txq_[from].size() >= queue_capacity_) {
-    ++packets_queue_dropped_;
+  Radio& r = radios_[from];
+  // A node that isolated itself from inside its own handler has no radio.
+  if (isolated_[from]) return drop(h, packets_isolated_dropped_);
+  if (r.queued >= queue_capacity_) return drop(h, packets_queue_dropped_);
+  InFlight& f = packets_[h];
+  f.to = to;
+  f.next = kNoSlot;
+  if (r.tail == kNoSlot) {
+    r.head = h;
+  } else {
+    packets_[r.tail].next = h;
+  }
+  r.tail = h;
+  ++r.queued;
+  if (now_ < r.busy_until) {
+    push_radio_free(from);  // the packet waits: the radio-free event is due
     return;
   }
-  txq_[from].push(PendingTx{to, std::move(packet)});
   pump_tx(from);
+}
+
+void Simulator::push_radio_free(NodeId node) {
+  Radio& r = radios_[node];
+  if (r.free_pushed) return;
+  r.free_pushed = true;
+  calq_.push({r.busy_until, r.free_order, node, SimEventKind::kRadioFree});
 }
 
 void Simulator::pump_tx(NodeId from) {
   // The radio serializes: one transmission at a time per node. An isolated
-  // node's queue was drained at isolate() time; stay silent regardless.
-  if (isolated_[from] || txq_[from].empty() || now_ < busy_until_[from]) return;
+  // node's queue was emptied at isolate() time.
+  Radio& r = radios_[from];
+  if (r.head == kNoSlot || now_ < r.busy_until) return;
 
-  PendingTx tx = std::move(txq_[from].front());
-  txq_[from].pop();
-  std::size_t bytes = tx.packet.wire_size();
+  const std::uint32_t h = r.head;
+  InFlight& f = packets_[h];
+  r.head = f.next;
+  if (r.head == kNoSlot) r.tail = kNoSlot;
+  --r.queued;
+
+  const std::size_t bytes = f.packet.wire_size();
+  f.wire_bytes = static_cast<std::uint32_t>(bytes);
+  f.from = from;
   energy_.on_transmit(from, bytes);
-  double tx_time = link_.tx_time_s(bytes);
-  double latency = link_.hop_latency_s(bytes);
-  busy_until_[from] = now_ + tx_time;
-  schedule_pump(tx_time, from);
+  const double tx_time = link_.tx_time_s(bytes);
+  const double latency = link_.hop_latency_s(bytes);
+  // Reserve the radio-free event's (time, order) now, in the schedule
+  // sequence where an eager push would have taken it; push it only if a
+  // packet is already waiting (otherwise transmit() pushes it on demand).
+  r.busy_until = now_ + tx_time;
+  r.free_order = next_order_++;
+  r.free_pushed = false;
+  last_radio_free_ = std::max(last_radio_free_, r.busy_until);
+  if (r.head != kNoSlot) push_radio_free(from);
 
   if (!link_.delivers(rng_)) {
-    ++packets_lost_;
     sim_lost_counter().add();
-    return;
+    return drop(h, packets_lost_);
   }
-  schedule_arrive(latency, tx.to, from, std::move(tx.packet));
+  calq_.push({now_ + latency, next_order_++, h, SimEventKind::kArrive});
 }
 
-void Simulator::arrive(NodeId at, NodeId from, Packet packet) {
-  if (isolated_.at(at)) {
-    ++packets_isolated_dropped_;
-    return;
-  }
-  energy_.on_receive(at, packet.wire_size());
-  packet.arrived_from = from;
+void Simulator::arrive(std::uint32_t h) {
+  InFlight& f = packets_[h];
+  const NodeId at = f.to;
+  if (isolated_[at]) return drop(h, packets_isolated_dropped_);
+  energy_.on_receive(at, f.wire_bytes);
+  Packet& packet = f.packet;
+  packet.arrived_from = f.from;
 
   if (at == kSinkId) {
     ++packets_delivered_;
     sim_delivered_counter().add();
     if (delivery_tap_) delivery_tap_(packet, now_);
     if (sink_handler_) sink_handler_(std::move(packet), now_);
+    packets_.release(h);
     return;
   }
 
-  std::optional<Packet> out;
-  if (handlers_[at]) {
-    out = handlers_[at](std::move(packet), at);
-  } else {
-    out = std::move(packet);
-  }
-  if (!out) {
-    ++packets_node_dropped_;
-    return;
-  }
+  // The slab is address-stable: `packet` survives the handler injecting.
+  if (handlers_[at] && !handlers_[at](packet, at)) return drop(h, packets_node_dropped_);
 
   NodeId next = routing_->next_hop(at);
-  if (next == kInvalidNode) {
-    ++packets_node_dropped_;
-    return;
-  }
+  if (next == kInvalidNode) return drop(h, packets_node_dropped_);
   // The sink learns its radio-layer previous hop for free: it can observe
   // who transmitted the final hop. Record it before the last transmission.
-  if (next == kSinkId) out->delivered_by = at;
-  transmit(at, next, std::move(*out));
+  if (next == kSinkId) packet.delivered_by = at;
+  transmit(at, next, h);
 }
 
 bool Simulator::run(std::size_t max_events) {
@@ -163,37 +171,34 @@ bool Simulator::run(std::size_t max_events) {
       PNM_ERROR << "simulator: event budget exhausted (" << max_events << ")";
       return false;
     }
-    EventRef ref = calq_.pop();
-    assert(ref.time + 1e-12 >= now_);
-    now_ = ref.time;
+    const EventRef ev = calq_.pop();
+    assert(ev.time + 1e-12 >= now_);
+    now_ = ev.time;
     ++events_processed_;
-    // Move the payload out and recycle the slot BEFORE dispatching: the
-    // handler will schedule new events, which may grow the arena slab and
-    // invalidate `node`.
-    SimEventNode& node = arena_[ref.slot];
-    SimEventKind kind = node.kind;
-    NodeId a = node.a;
-    NodeId b = node.b;
-    Packet packet;
-    std::function<void()> fn;
-    if (kind == SimEventKind::kArrive) {
-      packet = std::move(node.packet);
-    } else if (kind == SimEventKind::kCall) {
-      fn = std::move(node.fn);
-    }
-    arena_.release(ref.slot);
-    switch (kind) {
-      case SimEventKind::kPumpTx:
-        pump_tx(a);
+    switch (ev.kind) {
+      case SimEventKind::kRadioFree:
+        pump_tx(static_cast<NodeId>(ev.id));
         break;
       case SimEventKind::kArrive:
-        arrive(a, b, std::move(packet));
+        arrive(ev.id);
         break;
-      case SimEventKind::kCall:
+      case SimEventKind::kCall: {
+        // Run in place (the slab does not move it if the callback schedules
+        // more), then free the closure's captures with the slot.
+        std::function<void()>& fn = calls_[ev.id];
         fn();
+        fn = nullptr;
+        calls_.release(ev.id);
         break;
+      }
     }
   }
+  // Radio-free events nobody waited for were never pushed; the clock still
+  // ends where dispatching them would have left it.
+  now_ = std::max(now_, last_radio_free_);
+  // Every packet is delivered or dropped once no event is left: a queued
+  // packet always has its radio-free event pending.
+  assert(packets_.live() == 0 && calls_.live() == 0);
   return true;
 }
 

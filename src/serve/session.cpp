@@ -16,6 +16,7 @@ constexpr std::size_t kRecvChunk = 64 * 1024;
 Session::Session(Socket sock, Server& server, std::uint64_t id)
     : sock_(std::move(sock)), server_(server), id_(id) {
   sock_.set_nodelay();
+  sock_.set_recv_timeout(kHelloDeadline);
   trace_.meter_into(server_.counters());
 }
 
@@ -74,7 +75,9 @@ bool Session::handle_msg(Msg msg) {
       ack.credit_window = server_.credit_window();
       ack.key_epoch = server_.key_epoch();
       ack.campaign_id = server_.campaign_id();
-      return send_msg(MsgType::kHelloAck, encode_hello_ack(ack));
+      if (!send_msg(MsgType::kHelloAck, encode_hello_ack(ack))) return false;
+      sock_.set_recv_timeout(std::chrono::milliseconds(0));
+      return true;
     }
     case MsgType::kTraceData:
       trace_.feed(msg.payload);

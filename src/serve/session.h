@@ -11,12 +11,18 @@
 // barrier (every pushed record verified and folded) and answers with the
 // Digest receipt, which must equal `pnm replay` over the same trace.
 //
+// Until its Hello arrives a session's receives have kHelloDeadline: a
+// connection that never speaks cannot hold drain for its grace period.
+// Once HelloAck is sent the deadline is cleared, since an idle client
+// between traces is legal.
+//
 // Credits are replenished in record-frame units once a message's outcomes
 // are complete and its records pushed; every completed outcome counts —
 // pushed, CRC-rejected, malformed — so client and server debit/credit the
 // same event stream and cannot drift.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -34,6 +40,10 @@ class Server;
 
 class Session {
  public:
+  /// How long a new connection may stay silent before its Hello is in. A
+  /// client that says nothing past it is dropped as an aborted session.
+  static constexpr std::chrono::seconds kHelloDeadline{5};
+
   Session(Socket sock, Server& server, std::uint64_t id);
 
   /// Blocking connection loop; returns when the peer is done or dead. Call

@@ -42,7 +42,8 @@ class Socket {
   /// digest would dominate small-trace latencies.
   void set_nodelay();
 
-  /// Make recv_some() give up with -1 once `timeout` passes without data.
+  /// Make recv_some() give up with -1 once `timeout` passes without data;
+  /// zero clears the deadline.
   void set_recv_timeout(std::chrono::milliseconds timeout);
 
   /// Write the whole buffer (retrying short writes / EINTR). False on error

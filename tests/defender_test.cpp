@@ -153,11 +153,10 @@ TEST_F(DefenderFixture, EndToEndThroughSimulatorWithRevocationEnforcement) {
 
   for (NodeId v = 1; v <= 8; ++v) {
     Rng node_rng(400 + v);
-    sim.set_node_handler(v, [&, node_rng](net::Packet&& p, NodeId self) mutable
-                         -> std::optional<net::Packet> {
-      if (blacklists[self].blocked(p.arrived_from)) return std::nullopt;
+    sim.set_node_handler(v, [&, node_rng](net::Packet& p, NodeId self) mutable {
+      if (blacklists[self].blocked(p.arrived_from)) return false;
       scheme_->mark(p, self, keys_.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 

@@ -67,10 +67,10 @@ TEST(FlowTracker, PooledGraphWouldBeAmbiguousButFlowsResolve) {
   net::Simulator sim(topo, routing, net::LinkModel{}, net::EnergyModel{}, 515);
   for (NodeId v = 1; v < topo.node_count(); ++v) {
     Rng node_rng(3000 + v);
-    sim.set_node_handler(v, [&, node_rng](net::Packet&& p, NodeId self) mutable {
+    sim.set_node_handler(v, [&, node_rng](net::Packet& p, NodeId self) mutable {
       if (self != p.true_source)  // moles don't mark their own injections
         scheme->mark(p, self, keys.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 

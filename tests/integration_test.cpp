@@ -149,8 +149,7 @@ TEST(Integration, SefFilteringComposesWithPnmTraceback) {
   std::size_t filtered = 0;
   for (NodeId v = 1; v <= n; ++v) {
     Rng node_rng(7000 + v);
-    sim.set_node_handler(v, [&, v, node_rng](net::Packet&& p, NodeId self) mutable
-                         -> std::optional<net::Packet> {
+    sim.set_node_handler(v, [&, v, node_rng](net::Packet& p, NodeId self) mutable {
       // Reconstruct the SEF view of this packet deterministically from its
       // report (endorsements are fixed when the mole forges the report; every
       // hop must see the same ones, so derive them from the report bytes).
@@ -159,10 +158,10 @@ TEST(Integration, SefFilteringComposesWithPnmTraceback) {
       filter::SefReport sr = sef.make_forged_report(p.report, mole_partitions, forge_rng);
       if (!sef.check_en_route(self, sr)) {
         ++filtered;
-        return std::nullopt;
+        return false;
       }
       scheme->mark(p, self, keys.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 

@@ -119,11 +119,10 @@ TEST_F(IsolationFixture, RevokedMoleTrafficDiesAtFirstHonestNeighbor) {
   auto scheme = marking::make_scheme(marking::SchemeKind::kPnm, {});
   for (NodeId v = 1; v <= 6; ++v) {
     Rng node_rng(200 + v);
-    sim.set_node_handler(v, [&, v, node_rng](net::Packet&& p, NodeId self) mutable
-                         -> std::optional<net::Packet> {
-      if (blacklists[self].blocked(p.arrived_from)) return std::nullopt;
+    sim.set_node_handler(v, [&, v, node_rng](net::Packet& p, NodeId self) mutable {
+      if (blacklists[self].blocked(p.arrived_from)) return false;
       scheme->mark(p, self, keys_.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
   std::size_t delivered = 0;

@@ -71,6 +71,26 @@ TEST_F(MarkingFixture, NestedMacInputBindsIdAndPrefix) {
   EXPECT_NE(a, b);
 }
 
+TEST_F(MarkingFixture, NestedMacInputIsTagPrefixAndId) {
+  // nested_mac_input writes its bytes in one exact-size buffer; they must be
+  // the framed composition message_prefix documents, for every mark count
+  // (including counts past the marks present) and empty fields.
+  net::Packet p = fresh_packet();
+  p.marks.push_back(net::Mark{encode_id(7), Bytes{1, 2, 3, 4}});
+  p.marks.push_back(net::Mark{Bytes{}, Bytes(300, 0x5A)});
+  p.marks.push_back(net::Mark{encode_id(9), Bytes{}});
+  for (Bytes id : {encode_id(3), Bytes{}, Bytes(40, 0xC3)}) {
+    for (std::size_t count = 0; count <= p.marks.size() + 1; ++count) {
+      ByteWriter w;
+      w.u8(0xA0);
+      w.raw(message_prefix(p, count));
+      w.blob16(id);
+      EXPECT_EQ(nested_mac_input(p, count, id), w.bytes())
+          << "count " << count << ", id of " << id.size() << " bytes";
+    }
+  }
+}
+
 // ---------------------------------------------------------------- factory
 
 TEST(SchemeFactory, AllKindsConstructible) {

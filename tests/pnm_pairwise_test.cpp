@@ -164,9 +164,9 @@ TEST_F(PairwiseFixture, EndToEndThroughSimulatorPinsThePair) {
   net::Simulator sim(topo_, routing, net::LinkModel{}, net::EnergyModel{}, 4242);
   for (NodeId v = 1; v <= 8; ++v) {
     Rng node_rng(100 + v);
-    sim.set_node_handler(v, [&, node_rng](net::Packet&& p, NodeId self) mutable {
+    sim.set_node_handler(v, [&, node_rng](net::Packet& p, NodeId self) mutable {
       scheme.mark(p, self, keys_.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 

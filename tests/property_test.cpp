@@ -272,10 +272,7 @@ TEST_P(ConservationProperty, InjectedEqualsDeliveredPlusDropped) {
   double drop_rate = knobs.next_double() * 0.5;
   Rng drop_rng(seed ^ 0xD1);
   sim.set_node_handler(dropper,
-                       [&](net::Packet&& p, NodeId) -> std::optional<net::Packet> {
-                         if (drop_rng.chance(drop_rate)) return std::nullopt;
-                         return std::optional<net::Packet>{std::move(p)};
-                       });
+                       [&](net::Packet&, NodeId) { return !drop_rng.chance(drop_rate); });
 
   std::size_t delivered = 0;
   sim.set_sink_handler([&](net::Packet&&, double) { ++delivered; });

@@ -105,14 +105,13 @@ TEST_F(ReplayEndToEnd, ReplayedTrafficNeverPollutesTraceback) {
   std::size_t suppressed = 0;
   for (NodeId v = 1; v <= 8; ++v) {
     Rng node_rng(900 + v);
-    sim.set_node_handler(v, [&, v, node_rng](net::Packet&& p, NodeId self) mutable
-                         -> std::optional<net::Packet> {
+    sim.set_node_handler(v, [&, v, node_rng](net::Packet& p, NodeId self) mutable {
       if (caches[self].seen_or_insert(p.report)) {
         ++suppressed;
-        return std::nullopt;
+        return false;
       }
       scheme_->mark(p, self, keys_.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 
@@ -163,11 +162,10 @@ TEST_F(ReplayEndToEnd, StaleReplaySurvivingCachesStillCaughtAtSink) {
   std::vector<net::DedupCache> caches(topo_.node_count(), net::DedupCache(2));
   for (NodeId v = 1; v <= 8; ++v) {
     Rng node_rng(700 + v);
-    sim.set_node_handler(v, [&, v, node_rng](net::Packet&& p, NodeId self) mutable
-                         -> std::optional<net::Packet> {
-      if (caches[self].seen_or_insert(p.report)) return std::nullopt;
+    sim.set_node_handler(v, [&, v, node_rng](net::Packet& p, NodeId self) mutable {
+      if (caches[self].seen_or_insert(p.report)) return false;
       scheme_->mark(p, self, keys_.key_unchecked(self), node_rng);
-      return std::optional<net::Packet>{std::move(p)};
+      return true;
     });
   }
 

@@ -8,7 +8,8 @@
 //   - live /rekey advances the key epoch without dropping a single record;
 //   - sessions for a different campaign are refused at the handshake;
 //   - the admin plane only drains or re-keys on POST, and neither a silent
-//     admin client nor a stream of scrapes holds threads past their request.
+//     admin client nor a stream of scrapes holds threads past their request;
+//   - a session connection that never sends a Hello cannot hold up drain.
 #include <gtest/gtest.h>
 
 #include <pthread.h>
@@ -33,6 +34,7 @@
 #include "serve/loadgen.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/session.h"
 #include "serve/socket.h"
 
 namespace pnm {
@@ -464,6 +466,36 @@ TEST(Serve, SilentAdminClientDoesNotHoldUpShutdown) {
   destroyed.wait();
   EXPECT_TRUE(finished) << "~Server waited on a silent admin client past the "
                            "receive deadline";
+}
+
+TEST(Serve, SilentSessionClientDoesNotHoldUpDrain) {
+  // A connect that never sends a Hello gets the session's Hello deadline,
+  // not drain's 20 s grace period, and leaves the global digest alone.
+  const auto& fx = serve_fixture();
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  std::string error;
+  serve::Socket silent =
+      serve::Socket::connect_tcp("127.0.0.1", server->tcp_port(), &error);
+  ASSERT_TRUE(silent.valid()) << error;
+  // One accept thread takes connections in order, so once this stream is
+  // served the silent connection has its own session, blocked in recv.
+  serve::LoadgenConfig lg;
+  lg.port = server->tcp_port();
+  lg.traces = {fx.trace_a};
+  serve::LoadgenStats stats = serve::run_loadgen(lg);
+  ASSERT_TRUE(stats.ok) << stats.error;
+
+  auto drained = std::async(std::launch::async, [&server] { return server->drain(); });
+  const bool finished =
+      drained.wait_for(serve::Session::kHelloDeadline + std::chrono::seconds(5)) ==
+      std::future_status::ready;
+  silent.close();  // lets a session with no deadline finish, so the test ends
+  serve::DrainReport report = drained.get();
+  EXPECT_TRUE(finished) << "drain waited on a silent session past the Hello deadline";
+  EXPECT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.records, fx.replay_a.stats.records);
+  EXPECT_EQ(report.verdict_digest, fx.replay_a.verdict_digest);
 }
 
 /// A numeric field of /proc/self/status ("Threads", "VmSize" in kB).

@@ -6,11 +6,13 @@ namespace pnm::crypto {
 
 KeyStore::KeyStore(ByteView master_secret, std::size_t node_count) {
   keys_.reserve(node_count);
+  // One ipad/opad schedule for the master, not one per derived key.
+  const HmacKey master(master_secret);
   for (std::size_t i = 0; i < node_count; ++i) {
     ByteWriter w;
     w.raw(ByteView(reinterpret_cast<const std::uint8_t*>("pnm-node-key"), 12));
     w.u16(static_cast<std::uint16_t>(i));
-    Sha256Digest d = hmac_sha256(master_secret, w.bytes());
+    Sha256Digest d = master.mac(w.bytes());
     keys_.emplace_back(d.begin(), d.begin() + kKeySize);
   }
   hmac_keys_.reserve(node_count);

@@ -86,10 +86,12 @@ Sha256Backend resolve_default() {
 std::atomic<int> g_forced{-1};
 
 // Register the engine's instruments before main so the replay metrics key
-// set is identical on every backend and workload (the golden pins it).
+// set is identical on every backend and workload (the golden pins it). The
+// gauge holds the rung batches will run on, the env override included;
+// force_sha_backend is the only other place that changes it.
 const bool g_metrics_registered = [] {
   lanes_hist();
-  backend_gauge().set(static_cast<int>(best_supported()));
+  backend_gauge().set(static_cast<int>(active_sha_backend()));
   return true;
 }();
 
@@ -240,7 +242,6 @@ std::size_t sha256_pad_in_place(std::uint8_t* buf, std::size_t len,
 void sha256_multi_blocks(std::span<const Sha256BlockJob> jobs) {
   if (jobs.empty()) return;
   const Sha256Backend backend = active_sha_backend();
-  backend_gauge().set(static_cast<int>(backend));
   if (jobs.size() == 1) {
     // A lone job has nothing to pack (HmacKey::mac/verify, serial anon_id):
     // it runs on the single-lane kernel and is not metered as a sweep.

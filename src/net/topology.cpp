@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <queue>
@@ -12,10 +13,14 @@ double dist2(const NodePosition& a, const NodePosition& b) {
   double dx = a.x - b.x, dy = a.y - b.y;
   return dx * dx + dy * dy;
 }
+
+std::atomic<std::uint64_t> g_next_topology_id{1};
 }  // namespace
 
 Topology::Topology(std::vector<NodePosition> positions, double radio_range)
-    : positions_(std::move(positions)), radio_range_(radio_range) {
+    : positions_(std::move(positions)),
+      radio_range_(radio_range),
+      id_(g_next_topology_id.fetch_add(1, std::memory_order_relaxed)) {
   assert(!positions_.empty());
   adjacency_.resize(positions_.size());
   double r2 = radio_range_ * radio_range_;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/ids.h"
@@ -35,6 +36,11 @@ class Topology {
   bool are_neighbors(NodeId a, NodeId b) const;
   std::size_t degree(NodeId id) const { return adjacency_.at(id).size(); }
   double radio_range() const { return radio_range_; }
+
+  /// Process-unique identity, assigned at construction and shared only by
+  /// copies (which hold the same graph). Per-topology memos key on it rather
+  /// than on the address, which a later topology may reuse.
+  std::uint64_t id() const { return id_; }
 
   /// True if every node can reach the sink (node 0).
   bool connected() const;
@@ -66,6 +72,7 @@ class Topology {
   std::vector<NodePosition> positions_;
   std::vector<std::vector<NodeId>> adjacency_;
   double radio_range_;
+  std::uint64_t id_;
 };
 
 }  // namespace pnm::net

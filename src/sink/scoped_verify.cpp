@@ -1,5 +1,6 @@
 #include "sink/scoped_verify.h"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <vector>
@@ -21,106 +22,118 @@ struct Meter {
   std::size_t expansions = 0;  ///< rings walked past ring 1
 };
 
-/// One mark's ring-by-ring search: the current ring's candidates, their
-/// anonymous IDs, and the walk that meters and resolves them.
-class RingWalk {
- public:
-  /// Start a mark's search at ring 1 around `anchor`, a node of `topo`.
-  void start(const net::Topology& topo, NodeId anchor) { layers_.start(topo, anchor); }
-  std::size_t ring() const { return layers_.radius(); }
-
-  /// Walk the current ring: its candidates are every node but the sink with
-  /// an id below keys.size(), ascending. Each candidate's anonymous ID for
-  /// `report` comes from `row` (null: no cache), which the caller holds
-  /// locked through `lock`. When every candidate hits, the walk reads the
-  /// row in place. Otherwise the hits are copied out, the lock is released
-  /// around one multi-lane sweep of the misses, and the row is re-locked to
-  /// take them; the sweep covers the whole ring, even past the candidate
-  /// that resolves (that speculation is unmetered). Walks in id order with
-  /// the serial accounting into `meter` — per candidate walked a hit or a
-  /// PRF evaluation, per anonymous-ID match a MAC check through
-  /// `mac_ok(node)` — and stops at the first candidate whose MAC verifies.
-  /// Returns that node, or kInvalidNode; `grew` says whether the ring held a
-  /// candidate (false: the search has covered the anchor's whole component).
-  template <typename MacOk>
-  NodeId walk(const crypto::KeyStore& keys, ByteView report, crypto::PrfCache* cache,
-              const crypto::PrfCache::RowRef& row, std::unique_lock<std::mutex>& lock,
-              ByteView id_field, Meter& meter, bool& grew, MacOk&& mac_ok);
-
-  /// Widen past an unresolved ring. False when the search is over: the ring
-  /// held no candidate (`grew` false) or ring `bound` was the last allowed.
-  bool advance(bool grew, std::size_t bound) {
-    if (!grew || ring() + 1 > bound) return false;
-    layers_.next();
-    return true;
-  }
-
- private:
-  RingLayers layers_;
-  std::vector<NodeId> cands_;
-  std::vector<const std::uint8_t*> anons_;  ///< per candidate, its anon ID
-  std::vector<std::uint8_t> hit_;           ///< per candidate, cache hit (cold rings)
-  std::vector<NodeId> miss_ids_;
-  Bytes copied_;  ///< a cold ring's anon IDs, candidate order
-  Bytes swept_;   ///< the misses' anonymous IDs, in miss order
+/// A verifying thread's search state: the memoized walk orders, and the
+/// scratch of a ring with misses, reused from one ring to the next.
+struct Walker {
+  RingMemo memo;
+  std::vector<NodeId> cands;
+  std::vector<const std::uint8_t*> anons;  ///< per candidate, its anon ID
+  std::vector<std::uint8_t> hit;           ///< per candidate, cache hit
+  std::vector<NodeId> miss_ids;
+  Bytes copied;  ///< the hits' anon IDs, candidate order
+  Bytes swept;   ///< the misses' anon IDs, miss order
 };
 
-template <typename MacOk>
-NodeId RingWalk::walk(const crypto::KeyStore& keys, ByteView report,
-                      crypto::PrfCache* cache, const crypto::PrfCache::RowRef& row,
-                      std::unique_lock<std::mutex>& lock, ByteView id_field,
-                      Meter& meter, bool& grew, MacOk&& mac_ok) {
-  const std::size_t anon_len = id_field.size();
-  cands_.clear();
-  for (NodeId candidate : layers_.ring()) {
-    if (candidate == kSinkId || candidate >= keys.size()) continue;
-    cands_.push_back(candidate);
-  }
-  grew = !cands_.empty();
-  if (!grew) return kInvalidNode;
-  anons_.resize(cands_.size());
-  bool warm = row != nullptr;
-  for (std::size_t i = 0; warm && i < cands_.size(); ++i) {
-    anons_[i] = row->find(cands_[i]);
-    warm = anons_[i] != nullptr;
-  }
+/// A search candidate: every node but the sink that holds a key.
+bool candidate(NodeId v, const crypto::KeyStore& keys) {
+  return v != kSinkId && v < keys.size();
+}
 
-  if (!warm) {
-    copied_.resize(cands_.size() * anon_len);
-    hit_.assign(cands_.size(), 0);
-    miss_ids_.clear();
-    for (std::size_t i = 0; i < cands_.size(); ++i) {
-      const std::uint8_t* cached = row ? row->find(cands_[i]) : nullptr;
-      hit_[i] = cached != nullptr;
-      if (cached != nullptr) {
-        if (anon_len != 0) std::memcpy(copied_.data() + i * anon_len, cached, anon_len);
-      } else {
-        miss_ids_.push_back(cands_[i]);
+/// Compute the anon IDs of the candidates in [first, last) that `row` (null:
+/// no cache) misses, and cache them. `first` is a candidate already probed
+/// and missed; the rest are probed here, once each. The hits are copied out
+/// before the lock is released around one multi-lane sweep of the misses,
+/// and the row is re-locked to take them. Leaves the candidates, hit flags
+/// and anon IDs of [first, last) in `w`.
+void sweep_misses(Walker& w, const NodeId* first, const NodeId* last,
+                  const crypto::KeyStore& keys, ByteView report, crypto::PrfCache* cache,
+                  const crypto::PrfCache::RowRef& row, std::unique_lock<std::mutex>& lock,
+                  std::size_t anon_len) {
+  w.cands.clear();
+  w.hit.clear();
+  w.miss_ids.clear();
+  w.copied.clear();
+  for (const NodeId* it = first; it != last; ++it) {
+    if (!candidate(*it, keys)) continue;
+    const std::uint8_t* cached = row && it != first ? row->find(*it) : nullptr;
+    w.cands.push_back(*it);
+    w.hit.push_back(cached != nullptr);
+    if (cached != nullptr)
+      w.copied.insert(w.copied.end(), cached, cached + anon_len);
+    else
+      w.miss_ids.push_back(*it);
+  }
+  if (lock.owns_lock()) lock.unlock();
+  w.swept.resize(w.miss_ids.size() * anon_len);
+  crypto::anon_id_batch(keys, report, w.miss_ids, anon_len, w.swept.data());
+  if (row) {
+    lock.lock();
+    cache->insert(row, w.miss_ids, w.swept.data());
+  }
+  w.anons.resize(w.cands.size());
+  for (std::size_t i = 0, h = 0, m = 0; i < w.cands.size(); ++i)
+    w.anons[i] = w.hit[i] ? w.copied.data() + h++ * anon_len : w.swept.data() + m++ * anon_len;
+}
+
+/// One mark's search, ring by ring out from `anchor` through the walker's
+/// memoized walk order, in id order within a ring. Each candidate is probed
+/// in `row` (null: no cache), held locked through `lock`, once. A ring's
+/// hits are read in place. At a ring's first miss, sweep_misses takes the
+/// rest of the ring, whose candidates are then walked from the copies; when
+/// a candidate resolves before a miss, the ring's misses past it are still
+/// swept and cached, unmetered, so the cache holds what a whole-ring sweep
+/// would. Accounts into `meter` as the serial search does — per candidate
+/// walked a hit or a PRF evaluation, per anonymous-ID match a MAC check
+/// through `mac_ok(node)`, per ring past 1 an expansion — and stops at the
+/// first candidate whose MAC verifies, after a ring with no candidate (the
+/// anchor's whole component is covered) or after ring `bound`. Returns the
+/// resolved node, or kInvalidNode.
+template <typename MacOk>
+NodeId search(Walker& w, const net::Topology& topo, NodeId anchor, std::size_t bound,
+              const crypto::KeyStore& keys, ByteView report, crypto::PrfCache* cache,
+              const crypto::PrfCache::RowRef& row, std::unique_lock<std::mutex>& lock,
+              ByteView id_field, Meter& meter, MacOk&& mac_ok) {
+  const std::size_t anon_len = id_field.size();
+  auto matches = [&](const std::uint8_t* anon) {
+    return anon_len == 0 || std::memcmp(anon, id_field.data(), anon_len) == 0;
+  };
+  RingMemo::Order order = w.memo.order(topo, anchor);
+  for (std::size_t r = 1;; ++r) {
+    if (r > 1) ++meter.expansions;
+    if (r > order.rings) order = w.memo.grow(topo, anchor);
+    const NodeId* it = order.ids + (r > 1 ? order.ends[r - 2] : 0);
+    const NodeId* const last = order.ids + order.ends[r - 1];
+    bool grew = false;
+    for (; it != last; ++it) {
+      if (!candidate(*it, keys)) continue;
+      grew = true;
+      const std::uint8_t* anon = row ? row->find(*it) : nullptr;
+      if (anon == nullptr) break;
+      ++meter.walked;
+      ++meter.hits;
+      if (!matches(anon)) continue;
+      ++meter.macs;
+      if (mac_ok(*it)) {
+        const NodeId resolved = *it;
+        const NodeId* miss = std::find_if(it + 1, last, [&](NodeId v) {
+          return candidate(v, keys) && row->find(v) == nullptr;
+        });
+        if (miss != last) sweep_misses(w, miss, last, keys, report, cache, row, lock, anon_len);
+        return resolved;
       }
     }
-    if (lock.owns_lock()) lock.unlock();
-    swept_.resize(miss_ids_.size() * anon_len);
-    crypto::anon_id_batch(keys, report, miss_ids_, anon_len, swept_.data());
-    if (row) {
-      lock.lock();
-      cache->insert(row, miss_ids_, swept_.data());
+    if (it != last) {
+      sweep_misses(w, it, last, keys, report, cache, row, lock, anon_len);
+      for (std::size_t i = 0; i < w.cands.size(); ++i) {
+        ++meter.walked;
+        if (w.hit[i]) ++meter.hits;
+        if (!matches(w.anons[i])) continue;
+        ++meter.macs;
+        if (mac_ok(w.cands[i])) return w.cands[i];
+      }
     }
-    for (std::size_t i = 0, k = 0; i < cands_.size(); ++i) {
-      if (!hit_[i] && anon_len != 0)
-        std::memcpy(copied_.data() + i * anon_len, swept_.data() + k++ * anon_len,
-                    anon_len);
-      anons_[i] = copied_.data() + i * anon_len;
-    }
+    if (!grew || r + 1 > bound) return kInvalidNode;
   }
-
-  for (std::size_t i = 0; i < cands_.size(); ++i) {
-    ++meter.walked;
-    if (warm || hit_[i]) ++meter.hits;
-    if (anon_len != 0 && std::memcmp(anons_[i], id_field.data(), anon_len) != 0) continue;
-    ++meter.macs;
-    if (mac_ok(cands_[i])) return cands_[i];
-  }
-  return kInvalidNode;
 }
 
 }  // namespace
@@ -149,7 +162,7 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                       ? p.delivered_by
                       : kSinkId;
 
-  thread_local RingWalk walk;
+  thread_local Walker walker;
   for (std::size_t j = p.marks.size(); j-- > 0;) {
     const net::Mark& m = p.marks[j];
     NodeId resolved = kInvalidNode;
@@ -158,15 +171,10 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
       Bytes input = marking::nested_mac_input(p, j, m.id_field);
       std::unique_lock<std::mutex> lock;
       if (row) lock = std::unique_lock<std::mutex>(row->mutex());
-      walk.start(topo, anchor);
-      bool grew = false;
-      do {
-        if (walk.ring() > 1) ++meter.expansions;
-        resolved = walk.walk(keys, p.report, cache, row, lock, m.id_field, meter, grew,
-                             [&](NodeId node) {
-                               return keys.hmac_key(node).verify(input, m.mac);
-                             });
-      } while (resolved == kInvalidNode && walk.advance(grew, ring_bound));
+      resolved = search(walker, topo, anchor, ring_bound, keys, p.report, cache, row, lock,
+                        m.id_field, meter, [&](NodeId node) {
+                          return keys.hmac_key(node).verify(input, m.mac);
+                        });
     }
 
     if (resolved == kInvalidNode) {

@@ -10,15 +10,19 @@
 // Expected cost tracks the typical mark gap (~1/p hops), far below network
 // size.
 //
-// The rings come from a RingLayers search (sink/ring_layers.h) that expands
-// one layer per widening: ring 1 is the anchor and its neighbors, ring r the
-// nodes exactly r hops out, each walked in ascending id order. With a cache,
-// a packet resolves its report's PrfCache row once, and each mark walks its
-// rings under one lock of that row: a ring whose candidates all hit is read
-// in place, and a ring with misses releases the row only around one
-// multi-lane sweep of them, then re-locks it to insert. Packets that repeat a
-// report reuse the anonymous IDs an earlier packet computed. The work
-// counters are added once per packet.
+// The rings come from the verifying thread's RingMemo (sink/ring_layers.h),
+// which keeps each anchor's walk order once RingLayers has built it: ring 1
+// is the anchor and its neighbors, ring r the nodes exactly r hops out, each
+// walked in ascending id order. A search steps through that order ring by
+// ring and rebuilds nothing the memo holds; the memo is keyed by
+// Topology::id(), extended only as far as some search has gone, and capped
+// in total. With a cache, a packet resolves its report's PrfCache row once,
+// and each mark walks its rings under one lock of that row, probing each
+// candidate once: a ring whose candidates all hit is read in place, and a
+// ring with misses releases the row only around one multi-lane sweep of
+// them, then re-locks it to insert. Packets that repeat a report reuse the
+// anonymous IDs an earlier packet computed. The work counters are added once
+// per packet.
 //
 // The result is bit-identical to PnmScheme::verify (asserted by tests); only
 // the search order — and therefore the hash count — differs.
@@ -47,7 +51,7 @@ struct ScopedVerifyStats {
 /// unchanged — only recomputation is skipped); `counters` receives metric
 /// increments, defaulting to util::Counters::global() when null. The
 /// topology, the cache and the counters are all safe to share across
-/// threads; each thread walks rings with its own reused buffers.
+/// threads; each thread walks rings through its own memo and buffers.
 marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                                         const crypto::KeyStore& keys,
                                         const net::Topology& topo,

@@ -14,9 +14,10 @@ struct CliResult {
   std::string out;
 };
 
-CliResult run_cli(const std::string& args) {
+/// Run the tool with `args`; `env` (e.g. "NAME=value") prefixes the command.
+CliResult run_cli(const std::string& args, const std::string& env = "") {
   // The test binary runs from build/tests; the tool lives in build/tools.
-  std::string cmd = "../tools/pnm " + args + " 2>&1";
+  std::string cmd = env + (env.empty() ? "" : " ") + "../tools/pnm " + args + " 2>&1";
   std::array<char, 4096> buf{};
   CliResult result;
   FILE* pipe = popen(cmd.c_str(), "r");
@@ -81,6 +82,25 @@ TEST(Cli, UnknownInputsFailCleanly) {
   EXPECT_EQ(run_cli("experiment --scheme nonsense").exit_code, 2);
   EXPECT_EQ(run_cli("experiment --attack nonsense").exit_code, 2);
   EXPECT_EQ(run_cli("").exit_code, 2);
+}
+
+TEST(Cli, ShaBackendGaugeReportsTheForcedRungBeforeAnyHashing) {
+  // `list` hashes nothing, so the gauge holds whatever was registered at
+  // startup: that must be the rung the env override picked, not the best
+  // one the CPU supports.
+  REQUIRE_TOOL();
+  const std::string out = ::testing::TempDir() + "/cli_backend_metrics.json";
+  CliResult r = run_cli("list --metrics-out " + out, "PNM_FORCE_SHA_BACKEND=scalar");
+  ASSERT_EQ(r.exit_code, 0) << r.out;
+  FILE* f = std::fopen(out.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string body;
+  std::array<char, 4096> buf{};
+  for (std::size_t n; (n = std::fread(buf.data(), 1, buf.size(), f)) > 0;)
+    body.append(buf.data(), n);
+  std::fclose(f);
+  EXPECT_NE(body.find("\"sha256_backend\":0"), std::string::npos) << body;
+  std::remove(out.c_str());
 }
 
 TEST(Cli, RecordReplayStatRoundTrip) {

@@ -1,8 +1,9 @@
 // RingLayers tests: every ring matches the k-hop ball difference it replaces
 // (Topology::k_hop_neighborhood is the oracle), across chain, grid,
 // random-geometric and disconnected topologies; walkers on several threads
-// see identical layers; and a scoped search that touches every anchor of a
-// large chain keeps its memory bounded.
+// see identical layers; a RingMemo grown lazily and out of order holds the
+// same rings and stays under its cap; and a scoped search that touches every
+// anchor of a large chain keeps its memory bounded.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -121,6 +122,95 @@ TEST(RingLayers, ConcurrentWalkersSeeIdenticalLayers) {
   }
   for (auto& th : readers) th.join();
   for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(seen[t], reference) << "thread " << t;
+}
+
+/// Ring r of a memoized order.
+std::vector<NodeId> memo_ring(const RingMemo::Order& o, std::size_t r) {
+  return {o.ids + (r > 1 ? o.ends[r - 2] : 0), o.ids + o.ends[r - 1]};
+}
+
+TEST(RingMemo, InterleavedGrowthMatchesRingLayers) {
+  // Grow every anchor one ring per turn, round robin, so entries keep being
+  // copied to the end of the arena; each order must stay ring for ring what
+  // a fresh RingLayers walk gives, ending in one empty ring.
+  Rng rng(11);
+  for (const net::Topology& topo :
+       {net::Topology::chain(12), net::Topology::grid(6, 4, 1.5),
+        net::Topology::random_geometric(60, 10.0, 2.2, rng),
+        net::Topology({{0, 0}, {1, 0}, {10, 0}, {11, 0}, {30, 30}}, 1.25)}) {
+    RingLayers walker;
+    std::vector<std::vector<std::vector<NodeId>>> want(topo.node_count());
+    for (NodeId a = 0; a < topo.node_count(); ++a) {
+      want[a] = rings_of(walker, topo, a);
+      want[a].emplace_back();
+    }
+    RingMemo memo;
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (NodeId a = 0; a < topo.node_count(); ++a) {
+        const std::size_t held = memo.order(topo, a).rings;
+        if (held == want[a].size()) continue;
+        const RingMemo::Order o = memo.grow(topo, a);
+        ASSERT_EQ(o.rings, held + 1);
+        for (std::size_t r = 1; r <= o.rings; ++r)
+          ASSERT_EQ(memo_ring(o, r), want[a][r - 1]) << "anchor " << a << " ring " << r;
+        grew = true;
+      }
+    }
+    EXPECT_LE(memo.words(), RingMemo::kMaxWords);
+  }
+}
+
+TEST(RingMemo, ArenaFlushesAtItsCapAndRebuilds) {
+  // Every anchor's whole order on a 1502-node chain is 2.2k-3k words, ~4M
+  // for all of them, so walking them all passes the cap several times over.
+  const net::Topology chain = net::Topology::chain(1500);
+  RingLayers walker;
+  RingMemo memo;
+  std::size_t flushes = 0;
+  auto grow_all = [&](NodeId a) {
+    // An order is whole once its last ring is the empty one.
+    for (RingMemo::Order o = memo.order(chain, a);
+         o.rings == 0 || !memo_ring(o, o.rings).empty();) {
+      const std::size_t before = memo.words();
+      o = memo.grow(chain, a);
+      if (memo.words() < before) ++flushes;
+      ASSERT_LE(memo.words(), RingMemo::kMaxWords);
+    }
+  };
+  auto expect_whole = [&](NodeId a) {
+    const RingMemo::Order o = memo.order(chain, a);
+    const auto want = rings_of(walker, chain, a);
+    ASSERT_EQ(o.rings, want.size() + 1) << "anchor " << a;
+    for (std::size_t r = 1; r <= want.size(); ++r)
+      ASSERT_EQ(memo_ring(o, r), want[r - 1]) << "anchor " << a << " ring " << r;
+  };
+  // Orders carried over a flush mid-growth match, and so do orders rebuilt
+  // after theirs was flushed.
+  for (NodeId a = 0; a < chain.node_count(); ++a) {
+    grow_all(a);
+    expect_whole(a);
+  }
+  EXPECT_GE(flushes, 2u);
+  for (NodeId a : {NodeId{0}, NodeId{1}, NodeId{750}}) {
+    grow_all(a);
+    expect_whole(a);
+  }
+}
+
+TEST(RingMemo, ANewTopologyFlushesTheOldOne) {
+  const net::Topology a = net::Topology::chain(5);
+  const net::Topology b = net::Topology::grid(3, 3, 1.0);
+  EXPECT_NE(a.id(), b.id());
+  const net::Topology copy = a;
+  EXPECT_EQ(copy.id(), a.id());
+  RingMemo memo;
+  memo.grow(a, 3);
+  EXPECT_EQ(memo.order(copy, 3).rings, 1u);  // a copy holds the same graph
+  EXPECT_EQ(memo.order(b, 3).rings, 0u);
+  EXPECT_EQ(memo.words(), 0u);
+  const RingMemo::Order o = memo.grow(b, 4);
+  EXPECT_EQ(memo_ring(o, 1), (std::vector<NodeId>{1, 3, 4, 5, 7}));
 }
 
 long peak_rss_kb() {

@@ -5,6 +5,8 @@
 #   2. replay three corpus traces over three concurrent loadgen connections
 #      and require every per-stream digest receipt to equal the committed
 #      `pnm replay` golden for that trace — the serve determinism contract;
+#      then stream two damaged copies (a flipped record byte, a cut mid-frame)
+#      and require each receipt to equal `pnm replay` of the damaged file;
 #   3. scrape /metrics through scripts/check_prom.py (exposition lint) and
 #      check the serve-plane series are present, then scrape /spans and
 #      require valid Chrome trace-event JSON with verify-path spans (the
@@ -102,6 +104,41 @@ for t in "${traces[@]}"; do
   echo "digest ok (x2 concurrent sessions): $t"
 done
 
+# --- 2b. damaged traces: one framer behind sockets and files ----------------
+# Two damaged copies of the campaign trace: one byte flipped inside a record
+# payload (that frame fails its CRC and is skipped) and one cut in the middle
+# of a record frame (the whole frames before the cut are streamed). Each
+# session's Digest receipt must equal what `pnm replay` prints for the same
+# damaged file.
+python3 - "$corpus_dir/${traces[0]}.pnmtrace" "$workdir" <<'EOF'
+import struct, sys
+data = open(sys.argv[1], "rb").read()
+frames, pos = [], 8  # magic + u16 version
+while pos + 4 <= len(data):
+    (length,) = struct.unpack_from("<I", data, pos)
+    frames.append((pos, length))
+    pos += 4 + length + 4
+records = frames[1:]  # frame 0 is the header
+start, length = records[len(records) // 3]
+flipped = bytearray(data)
+flipped[start + 4 + length // 2] ^= 0xFF
+open(sys.argv[2] + "/flipped.pnmtrace", "wb").write(flipped)
+start, length = records[2 * len(records) // 3]
+open(sys.argv[2] + "/cut.pnmtrace", "wb").write(data[:start + 4 + length // 2])
+EOF
+"$pnm_bin" loadgen --port "$tcp_port" \
+  --traces "$workdir/flipped.pnmtrace,$workdir/cut.pnmtrace" \
+  --connections 2 --json "$workdir/loadgen3.json" | tee "$workdir/loadgen3.out"
+for d in flipped cut; do
+  want="$("$pnm_bin" replay --in "$workdir/$d.pnmtrace" | sed -n 's/^verdict digest: //p')"
+  got="$(sed -n "s|^stream digest: $workdir/$d.pnmtrace ||p" "$workdir/loadgen3.out")"
+  if [[ -z "$want" || "$got" != "$want" ]]; then
+    echo "error: $d trace: session digest '$got' != replay digest '$want'" >&2
+    exit 1
+  fi
+  echo "damaged-trace digest ok: $d ($got)"
+done
+
 # --- 3. /metrics through the exposition linter ------------------------------
 admin /metrics > "$workdir/metrics.prom"
 python3 "$repo_root/scripts/check_prom.py" "$workdir/metrics.prom"
@@ -169,14 +206,13 @@ get_drain="$(curl -sS --max-time 30 -o /dev/null -w '%{http_code}' \
   || { echo "error: daemon unhealthy after GET /drain" >&2; exit 1; }
 drain_json="$(admin /drain -X POST)"
 echo "drain: $drain_json"
-python3 - "$workdir/loadgen1.json" "$workdir/loadgen2.json" <<EOF
+python3 - "$workdir/loadgen1.json" "$workdir/loadgen2.json" "$workdir/loadgen3.json" <<EOF
 import json, sys
-lg1 = json.load(open(sys.argv[1]))
-lg2 = json.load(open(sys.argv[2]))
+lg1, lg2, lg3 = (json.load(open(path)) for path in sys.argv[1:4])
 drain = json.loads('$drain_json')
-expect = lg1["records"] + lg2["records"]
+expect = lg1["records"] + lg2["records"] + lg3["records"]
 assert drain["records"] == expect, (drain, expect)
-assert drain["sessions"] == lg1["sessions"] + lg2["sessions"], drain
+assert drain["sessions"] == lg1["sessions"] + lg2["sessions"] + lg3["sessions"], drain
 assert drain["key_epoch"] == 1, drain
 assert len(drain["digest"]) == 64, drain
 print(f"drain accounted for {drain['records']} records over "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "core/protocol.h"
@@ -50,6 +51,69 @@ Bytes campaign_master_secret(std::uint64_t seed) {
   w.raw(ByteView(reinterpret_cast<const std::uint8_t*>("pnm-master"), 10));
   w.u64(seed);
   return std::move(w).take();
+}
+
+std::optional<CampaignWorld> decode_campaign(const trace::TraceMeta& meta,
+                                             std::string* error) {
+  auto fail = [&](std::string why) -> std::optional<CampaignWorld> {
+    if (error) *error = std::move(why);
+    return std::nullopt;
+  };
+  auto seed = meta.get_u64(trace::kMetaSeed);
+  auto forwarders = meta.get_u64(trace::kMetaForwarders);
+  auto scheme_name = meta.get(trace::kMetaScheme);
+  if (!seed || !forwarders || !scheme_name)
+    return fail("trace header missing campaign metadata (seed/forwarders/scheme)");
+  if (*forwarders < 2 || *forwarders > 60000)
+    return fail("implausible forwarder count in trace header");
+  auto kind = marking::scheme_kind_by_name(*scheme_name);
+  if (!kind) return fail("unknown scheme '" + *scheme_name + "' in trace header");
+
+  marking::SchemeConfig scfg;
+  if (auto prob = meta.get(trace::kMetaMarkProbability)) {
+    char* end = nullptr;
+    scfg.mark_probability = std::strtod(prob->c_str(), &end);
+    if (prob->empty() || end != prob->c_str() + prob->size() ||
+        !(scfg.mark_probability >= 0.0 && scfg.mark_probability <= 1.0))
+      return fail("malformed mark probability in trace header");
+  }
+  // Both widths are truncations of one HMAC-SHA256 output.
+  auto width = [&](const char* key, std::size_t& out) {
+    if (!meta.get(key)) return true;
+    auto v = meta.get_u64(key);
+    if (!v || *v < 1 || *v > crypto::kSha256DigestSize) return false;
+    out = static_cast<std::size_t>(*v);
+    return true;
+  };
+  if (!width(trace::kMetaMacLen, scfg.mac_len))
+    return fail("malformed MAC length in trace header");
+  if (!width(trace::kMetaAnonLen, scfg.anon_len))
+    return fail("malformed anonymous-ID length in trace header");
+
+  net::Topology topo = net::Topology::chain(static_cast<std::size_t>(*forwarders));
+  crypto::KeyStore keys(campaign_master_secret(*seed), topo.node_count());
+  return CampaignWorld{*seed, *kind, std::move(topo), std::move(keys),
+                       marking::make_scheme(*kind, scfg)};
+}
+
+std::string campaign_id_from_meta(const trace::TraceMeta& meta) {
+  // Only the keys decode_campaign reads participate; recorder provenance
+  // keys (attack, config_digest, ...) differ across traces of the same
+  // campaign and must not.
+  std::string id;
+  auto add = [&](const char* key) {
+    id += key;
+    id += '=';
+    id += meta.get(key).value_or("?");
+    id += ';';
+  };
+  add(trace::kMetaSeed);
+  add(trace::kMetaForwarders);
+  add(trace::kMetaScheme);
+  add(trace::kMetaMarkProbability);
+  add(trace::kMetaMacLen);
+  add(trace::kMetaAnonLen);
+  return id;
 }
 
 ChainExperimentResult run_chain_experiment(const ChainExperimentConfig& cfg,

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "core/config.h"
 #include "sink/route_reconstruct.h"
 #include "sink/traceback.h"
+#include "trace/format.h"
 
 namespace pnm::core {
 
@@ -68,6 +70,33 @@ struct ChainExperimentResult {
 /// Master secret every campaign derives its KeyStore from; exposed so a
 /// trace replay with the recorded seed rebuilds the identical keys.
 Bytes campaign_master_secret(std::uint64_t seed);
+
+/// What a sink needs to check the marks of a recorded campaign (§4.2, and
+/// §7 for the scoped search): the topology, the node keys and the scheme
+/// with its parameters.
+struct CampaignWorld {
+  std::uint64_t seed = 0;
+  marking::SchemeKind kind = marking::SchemeKind::kPnm;
+  net::Topology topo;
+  crypto::KeyStore keys;  ///< epoch 0: campaign_master_secret(seed)
+  std::unique_ptr<marking::MarkingScheme> scheme;
+};
+
+/// The one decoder of a trace header into a sink's world. Requires the seed,
+/// a forwarder count in 2..60000 and a known scheme; the mark probability
+/// (in [0, 1]), MAC length and anonymous-ID length (1..32 bytes) take the
+/// scheme defaults when absent but fail the header when malformed.
+/// nullopt + *error on any defect.
+std::optional<CampaignWorld> decode_campaign(const trace::TraceMeta& meta,
+                                             std::string* error);
+
+/// Canonical campaign identity string derived from a trace header: the keys
+/// that shape the sink decode_campaign builds. Two traces recorded under the
+/// same campaign parameters (and thus verifiable by the same sink) map to
+/// the same id. The serve daemon computes its id from the bootstrap trace;
+/// clients compute theirs from the trace they stream, and the handshake
+/// rejects mismatches before any record crosses the wire.
+std::string campaign_id_from_meta(const trace::TraceMeta& meta);
 
 /// Called after each delivered packet with the engine state; lets Fig. 5
 /// sample the mark-collection curve without rerunning.

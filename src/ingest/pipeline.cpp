@@ -22,24 +22,6 @@ std::size_t clamp_shards(std::size_t requested, std::size_t lanes) {
 
 }  // namespace
 
-Pipeline::Pipeline(sink::BatchVerifier& verifier, sink::TracebackEngine* traceback,
-                   PipelineConfig cfg, util::Counters* counters)
-    : lanes_{&verifier},
-      traceback_(traceback),
-      cfg_(cfg),
-      counters_(counters ? counters : &verifier.counters()),
-      router_(1),
-      queue_depth_(&counters_->registry().gauge("ingest_queue_depth")),
-      producers_gauge_(&counters_->registry().gauge("ingest_active_producers")),
-      batch_fold_us_(&counters_->registry().histogram("ingest_batch_fold_us")),
-      shard_imbalance_ppm_(
-          &counters_->registry().histogram("ingest_shard_imbalance_ppm")),
-      merge_us_(&counters_->registry().histogram("ingest_merge_us")),
-      merger_(traceback) {
-  cfg_.shards = 1;
-  init_lanes();
-}
-
 Pipeline::Pipeline(sink::VerifierBank& bank, sink::TracebackEngine* traceback,
                    PipelineConfig cfg, util::Counters* counters)
     : traceback_(traceback),
@@ -53,19 +35,15 @@ Pipeline::Pipeline(sink::VerifierBank& bank, sink::TracebackEngine* traceback,
           &counters_->registry().histogram("ingest_shard_imbalance_ppm")),
       merge_us_(&counters_->registry().histogram("ingest_merge_us")),
       merger_(traceback) {
-  cfg_.shards = router_.shards();
-  lanes_.reserve(cfg_.shards);
-  for (std::size_t i = 0; i < cfg_.shards; ++i) lanes_.push_back(&bank.lane(i));
-  init_lanes();
-}
-
-void Pipeline::init_lanes() {
   if (cfg_.batch_size == 0) cfg_.batch_size = 256;
-  std::size_t n = lanes_.size();
+  cfg_.shards = router_.shards();
+  const std::size_t n = cfg_.shards;
+  lanes_.reserve(n);
   queues_.reserve(n);
   lane_depth_.reserve(n);
   lane_records_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
+    lanes_.push_back(&bank.lane(i));
     queues_.push_back(std::make_unique<BoundedQueue<Item>>(cfg_.queue_capacity));
     lane_depth_.push_back(&counters_->registry().gauge(
         "ingest_queue_depth_shard" + std::to_string(i)));
@@ -79,23 +57,11 @@ void Pipeline::init_lanes() {
 }
 
 Pipeline::~Pipeline() {
-  // init_lanes() bound the global collectors to counters_->registry(), which
+  // The constructor bound the global collectors to counters_->registry(), which
   // may be a private instance dying right after this destructor. A later
   // pipeline rebinds on construction.
   obs::ProvenanceCollector::global().unbind_metrics();
   obs::FlightRecorder::global().unbind_metrics();
-}
-
-bool Pipeline::push(net::Packet&& p, double time_s) {
-  return push(std::move(p), time_s, nullptr, 0);
-}
-
-bool Pipeline::push(net::Packet&& p, double time_s, std::shared_ptr<StreamSink> sink,
-                    std::uint64_t stream_seq) {
-  const std::uint64_t trace_id =
-      obs::ProvenanceCollector::global().admit(p.report, p.delivered_by);
-  PushRecord record{std::move(p), time_s, trace_id};
-  return push_batch(std::span<PushRecord>(&record, 1), std::move(sink), stream_seq) == 1;
 }
 
 std::size_t Pipeline::push_batch(std::span<PushRecord> records,
@@ -452,6 +418,16 @@ PipelineStats Pipeline::run_from_trace(trace::TraceReader& reader) {
   // it detects itself (wire images the packet decoder rejects).
   reader.meter_into(counters_);
   std::thread producer([&] {
+    // Push the way a serve session does: decoded records go in as one
+    // push_batch of at most batch_size.
+    std::vector<PushRecord> batch;
+    batch.reserve(cfg_.batch_size);
+    auto flush = [&] {
+      const std::size_t n = batch.size();
+      const bool accepted = push_batch(batch, nullptr, 0) == n;
+      batch.clear();
+      return accepted;
+    };
     while (auto outcome = reader.next()) {
       switch (outcome->status) {
         case trace::ReadStatus::kRecord: {
@@ -462,7 +438,10 @@ PipelineStats Pipeline::run_from_trace(trace::TraceReader& reader) {
             break;
           }
           packet->delivered_by = outcome->record.delivered_by;
-          if (!push(std::move(*packet), outcome->record.time_s())) return;
+          const std::uint64_t trace_id =
+              obs::ProvenanceCollector::global().admit(packet->report, packet->delivered_by);
+          batch.push_back(PushRecord{std::move(*packet), outcome->record.time_s(), trace_id});
+          if (batch.size() == cfg_.batch_size && !flush()) return;
           break;
         }
         case trace::ReadStatus::kBadCrc:
@@ -479,6 +458,7 @@ PipelineStats Pipeline::run_from_trace(trace::TraceReader& reader) {
           break;
       }
     }
+    flush();
     close();
   });
   run();

@@ -1,16 +1,18 @@
 // Streaming ingest pipeline: the sink's intake lane, sharded by flow.
 //
-//   producer(s)         shard lanes (N threads)       merge stage (1 thread)
-//   TraceReader /   ┌→ queue₀ → decode batch → verify₀ ─┐
-//   live tap ──route┤→ queue₁ → decode batch → verify₁ ─┼→ hand-off → TracebackMerger
-//    (seq, flow)    └→ queueₙ → decode batch → verifyₙ ─┘  (inbox)   (reorder by seq)
-//                                                                    → digest + fold
+//   producers            shard lanes (N threads)       merge stage (1 thread)
+//   run_from_trace / ┌→ queue₀ → decode batch → verify₀ ─┐
+//   serve sessions ──┤→ queue₁ → decode batch → verify₁ ─┼→ hand-off → TracebackMerger
+//   (push_batch)     └→ queueₙ → decode batch → verifyₙ ─┘  (inbox)   (reorder by seq)
+//                                                                     → digest + fold
 //
-// Producers push decoded packets into per-flow-sharded bounded queues: the
-// ShardRouter hashes each record's flow identity (claimed origin location +
-// previous hop) to a lane, and every push is stamped with a global arrival
-// sequence number. Each lane independently drains FIFO batches through its
-// own sink::BatchVerifier handle (private PrfCache — flow affinity keeps a
+// Records enter through one call, push_batch: a file replay
+// (run_from_trace) and a serve session both decode a run of recorded
+// records and push them as one batch. The ShardRouter hashes each record's
+// flow identity (claimed origin location + previous hop) to a lane, and the
+// batch is stamped with consecutive global arrival sequence numbers. Each
+// lane independently drains FIFO batches through its own
+// sink::BatchVerifier handle (private PrfCache — flow affinity keeps a
 // flow's PRF probes hot in one cache) and pre-serializes each record's
 // digest fingerprint, then appends the whole batch to the hand-off under a
 // short lock and goes back to verifying (it waits only when more than one
@@ -58,7 +60,7 @@
 namespace pnm::ingest {
 
 struct PipelineConfig {
-  /// Packets buffered per shard queue before push() blocks on that lane.
+  /// Packets buffered per shard queue before push_batch() blocks on that lane.
   std::size_t queue_capacity = 1024;
   /// Packets handed to BatchVerifier::verify_batch per drain. Sized so one
   /// drain feeds the multi-buffer SHA-256 engine enough candidate PRF/MAC
@@ -102,20 +104,14 @@ struct PipelineStats {
 
 class Pipeline {
  public:
-  /// Single-verifier compatibility shape: one lane, cfg.shards forced to 1
-  /// (one BatchVerifier handle must never see concurrent verify_batch
-  /// calls). The verifier/traceback must outlive the pipeline. `counters`
-  /// defaults to the verifier's counters instance.
-  Pipeline(sink::BatchVerifier& verifier, sink::TracebackEngine* traceback,
-           PipelineConfig cfg = {}, util::Counters* counters = nullptr);
-
-  /// Sharded shape: lane i drains through bank.lane(i). cfg.shards is
-  /// clamped to bank.lanes(). `traceback` may be null (pure verification
-  /// throughput runs).
+  /// Lane i drains through bank.lane(i). cfg.shards is clamped to
+  /// bank.lanes(). `traceback` may be null (pure verification throughput
+  /// runs). The bank and traceback must outlive the pipeline; `counters`
+  /// defaults to the bank's counters instance.
   Pipeline(sink::VerifierBank& bank, sink::TracebackEngine* traceback,
            PipelineConfig cfg = {}, util::Counters* counters = nullptr);
 
-  /// Unbinds the global provenance/flight telemetry that init_lanes() bound
+  /// Unbinds the global provenance/flight telemetry that the constructor bound
   /// to this pipeline's registry — the registry may die with the pipeline
   /// (private counters instance), and the global collectors must not keep
   /// pointers into it.
@@ -123,27 +119,21 @@ class Pipeline {
 
   // ---- producer side (any thread) ----
 
-  /// Route, stamp with the next arrival sequence number, and block on the
-  /// target lane's queue with backpressure; false if the pipeline was
-  /// closed (the sequence number is tombstoned so the merge cannot stall).
-  bool push(net::Packet&& p, double time_s);
-  /// Stream-tagged push for multi-client ingest: after the record is
-  /// verified, its lane additionally invokes `sink->on_entry(stream_seq,
+  /// The one way records enter: route each record to its lane, stamp the
+  /// batch with one range of consecutive arrival sequence numbers (one
+  /// reservation), and hand each lane's share to its queue with one
+  /// BoundedQueue::push_all, blocking on backpressure. Records are moved
+  /// from. Returns how many were accepted; any refused because the pipeline
+  /// closed are tombstoned so the merge cannot stall.
+  ///
+  /// With `sink` set, record i also carries stream seq first_stream_seq + i,
+  /// and after it is verified its lane invokes `sink->on_entry(stream_seq,
   /// fingerprint, verdict)` — from the lane thread, concurrently with other
   /// lanes — so a session can fold its own per-stream digest while the
   /// global merge proceeds in arrival order. Ownership of `sink` is shared:
   /// every queued record holds a reference, so a producer may abandon its
   /// stream (client disconnect) and drop its handle while records are still
   /// in queues or lane batches without dangling the sink.
-  bool push(net::Packet&& p, double time_s, std::shared_ptr<StreamSink> sink,
-            std::uint64_t stream_seq);
-  /// Batch push, the code under both push() forms: the records take one
-  /// range of consecutive arrival sequence numbers (one reservation) and,
-  /// when `sink` is set, the stream seqs first_stream_seq, first_stream_seq
-  /// + 1, ...; each lane's share goes into its queue with one
-  /// BoundedQueue::push_all. Records are moved from. Returns how many were
-  /// accepted; any refused because the pipeline closed are tombstoned so the
-  /// merge cannot stall.
   std::size_t push_batch(std::span<PushRecord> records, std::shared_ptr<StreamSink> sink,
                          std::uint64_t first_stream_seq);
   /// Signal end of input; run() returns once every lane drains.
@@ -152,7 +142,7 @@ class Pipeline {
   // ---- session bookkeeping (the serve daemon's multi-producer seam) ----
 
   /// Register/unregister a producer session. Purely advisory bookkeeping —
-  /// push() is already multi-producer safe — but the daemon's drain logic
+  /// push_batch() is already multi-producer safe — but the daemon's drain logic
   /// and the `ingest_active_producers` gauge key off it.
   void attach_producer();
   void detach_producer();
@@ -198,8 +188,10 @@ class Pipeline {
   /// merge exceptions rethrow here.
   void run();
 
-  /// Convenience: spawns a producer thread that streams `reader` (decoding
-  /// and metering each record) and runs the consumers on the calling thread.
+  /// File replay: spawns a producer thread that reads `reader` (metering
+  /// each outcome), decodes its records and push_batch()es them at most
+  /// batch_size at a time, the way a serve session pushes a message's
+  /// records; runs the consumers on the calling thread.
   PipelineStats run_from_trace(trace::TraceReader& reader);
 
   /// Stats of the completed run (partial while running).
@@ -219,7 +211,6 @@ class Pipeline {
     std::uint64_t stream_seq = 0;      ///< seq within the producing stream
   };
 
-  void init_lanes();
   void run_lane(std::size_t lane);
   void run_merge();
   /// Multi-producer side of the merge stage. hand_off never blocks (a

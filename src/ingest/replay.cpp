@@ -1,22 +1,11 @@
 #include "ingest/replay.h"
 
-#include <cstdlib>
-
 #include "core/campaign.h"
-#include "crypto/keys.h"
-#include "marking/scheme.h"
-#include "net/topology.h"
 #include "sink/traceback.h"
 
 namespace pnm::ingest {
 
 namespace {
-
-std::optional<marking::SchemeKind> scheme_kind_by_name(const std::string& name) {
-  for (auto kind : marking::all_scheme_kinds())
-    if (name == marking::scheme_kind_name(kind)) return kind;
-  return std::nullopt;
-}
 
 ReplayResult fail(std::string why) {
   ReplayResult r;
@@ -28,38 +17,20 @@ ReplayResult fail(std::string why) {
 
 ReplayResult replay_trace(trace::TraceReader& reader, const ReplayOptions& opts) {
   if (!reader.valid()) return fail("invalid trace: " + reader.header_error());
-  const trace::TraceMeta& meta = reader.meta();
-
-  auto seed = meta.get_u64(trace::kMetaSeed);
-  auto forwarders = meta.get_u64(trace::kMetaForwarders);
-  auto scheme_name = meta.get(trace::kMetaScheme);
-  if (!seed || !forwarders || !scheme_name)
-    return fail("trace header missing campaign metadata (seed/forwarders/scheme)");
-  if (*forwarders < 2 || *forwarders > 60000)
-    return fail("implausible forwarder count in trace header");
-  auto kind = scheme_kind_by_name(*scheme_name);
-  if (!kind) return fail("unknown scheme '" + *scheme_name + "' in trace header");
-
-  marking::SchemeConfig scfg;
-  if (auto prob = meta.get(trace::kMetaMarkProbability))
-    scfg.mark_probability = std::strtod(prob->c_str(), nullptr);
-  if (auto mac = meta.get_u64(trace::kMetaMacLen)) scfg.mac_len = *mac;
-  if (auto anon = meta.get_u64(trace::kMetaAnonLen)) scfg.anon_len = *anon;
-
-  net::Topology topo = net::Topology::chain(static_cast<std::size_t>(*forwarders));
-  crypto::KeyStore keys(core::campaign_master_secret(*seed), topo.node_count());
-  auto scheme = marking::make_scheme(*kind, scfg);
+  std::string why;
+  std::optional<core::CampaignWorld> world = core::decode_campaign(reader.meta(), &why);
+  if (!world) return fail(why);
 
   util::Counters local_counters;
   util::Counters* counters = opts.counters ? opts.counters : &local_counters;
 
   sink::BatchVerifierConfig bcfg;
   bcfg.threads = opts.threads;
-  if (opts.scoped && *kind == marking::SchemeKind::kPnm)
+  if (opts.scoped && world->kind == marking::SchemeKind::kPnm)
     bcfg.strategy = sink::BatchStrategy::kScoped;
   std::size_t shards = opts.shards ? opts.shards : 1;
-  sink::VerifierBank bank(*scheme, keys, shards, bcfg, &topo, counters);
-  sink::TracebackEngine engine(*scheme, keys, topo);
+  sink::VerifierBank bank(*world->scheme, world->keys, shards, bcfg, &world->topo, counters);
+  sink::TracebackEngine engine(*world->scheme, world->keys, world->topo);
   engine.bind_metrics(counters->registry());
 
   PipelineConfig pcfg;
@@ -72,7 +43,7 @@ ReplayResult replay_trace(trace::TraceReader& reader, const ReplayOptions& opts)
   ReplayResult result;
   result.stats = pipeline.run_from_trace(reader);
   result.ok = true;
-  result.meta = meta;
+  result.meta = reader.meta();
   result.verdict_digest = pipeline.verdict_digest();
   result.analysis = engine.analysis();
   result.marks_verified = engine.marks_verified();

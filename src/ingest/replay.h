@@ -1,12 +1,17 @@
 // Offline replay: rebuild a campaign's sink from a trace header and stream
 // the recorded packets through the full ingest pipeline.
 //
-// The trace metadata carries everything the sink side needs — seed (keys),
-// path length (topology), scheme and its parameters — so a replay
-// reconstructs the exact verification context of the live run and must land
-// on the identical accusation set (stop node + suspect neighborhood). That
-// turns one simulation campaign into a reusable corpus: benchmarks,
-// regression fixtures and fuzz seeds all run against the same fixed stream.
+// The header carries everything the sink side needs — seed (keys), path
+// length (topology), scheme and its parameters — and core::decode_campaign,
+// the decoder the serve daemon uses too, turns it into that world. A replay
+// thus reconstructs the exact verification context of the live run and must
+// land on the identical accusation set (stop node + suspect neighborhood).
+// The records go through Pipeline::run_from_trace, which reads them with
+// TraceReader (trace/reader.h, the one .pnmtrace framer) and pushes them the
+// way a serve session does, so a file and a socket carrying the same bytes
+// fold to the same verdict digest. That turns one simulation campaign into a
+// reusable corpus: benchmarks, regression fixtures and fuzz seeds all run
+// against the same fixed stream.
 #pragma once
 
 #include <string>

@@ -36,6 +36,12 @@ std::string_view scheme_kind_name(SchemeKind kind) {
   return "?";
 }
 
+std::optional<SchemeKind> scheme_kind_by_name(std::string_view name) {
+  for (SchemeKind kind : all_scheme_kinds())
+    if (name == scheme_kind_name(kind)) return kind;
+  return std::nullopt;
+}
+
 std::vector<SchemeKind> all_scheme_kinds() {
   return {SchemeKind::kNoMarking,       SchemeKind::kPlainPpm,
           SchemeKind::kExtendedAms,     SchemeKind::kNested,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -107,6 +108,8 @@ enum class SchemeKind {
 /// Factory over all schemes; the attack-matrix bench iterates this.
 std::unique_ptr<MarkingScheme> make_scheme(SchemeKind kind, SchemeConfig cfg);
 std::string_view scheme_kind_name(SchemeKind kind);
+/// Inverse of scheme_kind_name; nullopt for a name no scheme has.
+std::optional<SchemeKind> scheme_kind_by_name(std::string_view name);
 std::vector<SchemeKind> all_scheme_kinds();
 
 }  // namespace pnm::marking

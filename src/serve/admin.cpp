@@ -68,25 +68,7 @@ void AdminServer::accept_loop() {
     Socket sock = listener_.accept_conn();
     if (!sock.valid()) return;
     sock.set_recv_timeout(kRecvDeadline);
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    if (stopped_) return;
-    // Join the handlers that have finished, so a periodic scrape does not
-    // pile up one unjoined thread (and its stack) per request until stop().
-    for (auto it = handlers_.begin(); it != handlers_.end();) {
-      if (!it->done.load(std::memory_order_acquire)) {
-        ++it;
-        continue;
-      }
-      it->thread.join();
-      it = handlers_.erase(it);
-    }
-    Handler& h = handlers_.emplace_back();
-    h.thread = std::thread(
-        [this, &h](Socket s) {
-          handle(std::move(s));
-          h.done.store(true, std::memory_order_release);
-        },
-        std::move(sock));
+    handlers_.spawn([this](Socket s) { handle(std::move(s)); }, std::move(sock));
   }
 }
 
@@ -153,19 +135,10 @@ void AdminServer::handle(Socket sock) {
 }
 
 void AdminServer::stop() {
-  {
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
+  if (stopped_.exchange(true)) return;
   listener_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::list<Handler> handlers;
-  {
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    handlers.swap(handlers_);
-  }
-  for (auto& h : handlers) h.thread.join();
+  handlers_.join_all();
 }
 
 }  // namespace pnm::serve

@@ -18,19 +18,19 @@
 // 405 Method Not Allowed (Allow: POST): a crawler or a mistyped scrape
 // cannot drain it. The responder speaks just enough HTTP for curl and the
 // CI scripts: request line + headers in, Content-Length + Connection: close
-// out. Each connection gets one handler thread and kRecvDeadline to send its
-// request; the accept loop joins finished handlers before starting the next.
+// out. Each connection gets one handler thread (TaskThreads: finished
+// handlers are joined before the next starts) and kRecvDeadline to send its
+// request.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <string>
 #include <thread>
 
 #include "serve/socket.h"
+#include "serve/task_threads.h"
 
 namespace pnm::serve {
 
@@ -57,20 +57,14 @@ class AdminServer {
   void stop();
 
  private:
-  struct Handler {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   void accept_loop();
   void handle(Socket sock);
 
   Server& server_;
   Listener listener_;
   std::thread accept_thread_;
-  std::mutex handlers_mu_;
-  std::list<Handler> handlers_;  // stable addresses: each thread sets its done
-  bool stopped_ = false;
+  TaskThreads handlers_;  ///< one per request, joined as requests finish
+  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace pnm::serve

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "core/campaign.h"
 #include "serve/protocol.h"
 #include "serve/socket.h"
-#include "trace/format.h"
+#include "trace/reader.h"
 
 namespace pnm::serve {
 
@@ -19,17 +19,13 @@ namespace {
 
 constexpr std::size_t kCoalesceBytes = 64 * 1024;
 
-struct FrameSpan {
-  std::size_t offset = 0;  ///< start of the u32 length prefix
-  std::size_t length = 0;  ///< whole frame: len | payload | crc
-};
-
-/// A trace file pre-parsed for streaming: raw bytes plus the frame index
-/// (frame 0 is the header frame) and the campaign id from the header.
+/// A trace file pre-parsed for streaming: raw bytes, where its header ends,
+/// where each whole record frame ends, and the campaign id from the header.
 struct LoadedTrace {
   std::string path;
   Bytes data;
-  std::vector<FrameSpan> frames;
+  std::size_t header_bytes = 0;         ///< prologue + header frame
+  std::vector<std::size_t> frame_ends;  ///< end offset of each record frame
   std::string campaign_id;
   std::string error;
 
@@ -45,36 +41,25 @@ LoadedTrace load_trace(const std::string& path) {
     return t;
   }
   t.data.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  if (t.data.size() < 8 ||
-      std::memcmp(t.data.data(), trace::kMagic, sizeof(trace::kMagic)) != 0) {
-    t.error = "not a .pnmtrace file: " + path;
-    return t;
-  }
-  std::size_t pos = 8;  // magic + u16 version
-  while (pos + 4 <= t.data.size()) {
-    std::uint32_t len;
-    std::memcpy(&len, t.data.data() + pos, sizeof(len));
-    if (len > trace::kMaxFrameBytes) {
+  // The sink's own framer finds the frames, so a trace the sink would
+  // refuse at its header is refused here, before any connection.
+  trace::TraceStreamParser parser;
+  parser.feed(t.data);
+  parser.finish();
+  while (auto outcome = parser.poll()) {
+    if (outcome->status == trace::ReadStatus::kOversized) {
       t.error = "oversized frame in " + path;
       return t;
     }
-    std::size_t total = 4u + len + 4u;
-    if (pos + total > t.data.size()) break;  // truncated tail: stream what's whole
-    t.frames.push_back(FrameSpan{pos, total});
-    pos += total;
+    if (outcome->status == trace::ReadStatus::kTruncated) break;  // stream what's whole
+    t.frame_ends.push_back(parser.consumed());
   }
-  if (t.frames.empty()) {
-    t.error = "no frames in " + path;
+  if (!parser.header_ready()) {
+    t.error = "bad trace header in " + path + ": " + parser.header_error();
     return t;
   }
-  const FrameSpan& hdr = t.frames[0];
-  auto meta = trace::TraceMeta::decode(
-      ByteView(t.data.data() + hdr.offset + 4, hdr.length - 8));
-  if (!meta) {
-    t.error = "bad header frame in " + path;
-    return t;
-  }
-  t.campaign_id = campaign_id_from_meta(*meta);
+  t.header_bytes = parser.header_bytes();
+  t.campaign_id = core::campaign_id_from_meta(parser.meta());
   return t;
 }
 
@@ -186,16 +171,15 @@ SessionResult run_session(const LoadgenConfig& cfg, const LoadedTrace& trace,
   conn.credits = ack->credit_window;
 
   // Prologue + header frame carry no records and need no credit.
-  const FrameSpan& hdr = trace.frames[0];
-  if (!conn.sock.send_all(encode_msg(
-          MsgType::kTraceData,
-          ByteView(trace.data.data(), hdr.offset + hdr.length))))
+  if (!conn.sock.send_all(
+          encode_msg(MsgType::kTraceData, ByteView(trace.data.data(), trace.header_bytes))))
     return fail("send header");
 
+  const std::size_t frames = trace.frame_ends.size();
   std::uint64_t records_sent = 0;
   std::size_t since_ping = 0;
-  std::size_t i = 1;
-  while (i < trace.frames.size()) {
+  std::size_t i = 0;
+  while (i < frames) {
     if (!conn.pump(false, nullptr) && (conn.aborted || conn.peer_closed))
       return fail("server closed mid-stream");
     if (conn.credits == 0) {
@@ -203,26 +187,20 @@ SessionResult run_session(const LoadgenConfig& cfg, const LoadedTrace& trace,
       continue;
     }
     // Coalesce consecutive record frames up to the credit balance and the
-    // chunk cap; they are contiguous in the file, so one send covers all.
-    std::size_t first = i;
-    std::size_t bytes = 0;
-    std::uint64_t n_frames = 0;
-    std::uint64_t frame_budget = cfg.pace_us ? 1 : conn.credits;
-    while (i < trace.frames.size() && n_frames < frame_budget &&
-           bytes + trace.frames[i].length <= kCoalesceBytes) {
-      bytes += trace.frames[i].length;
-      ++n_frames;
-      ++i;
-    }
-    if (n_frames == 0) {  // single frame larger than the cap: send it alone
-      bytes = trace.frames[i].length;
-      n_frames = 1;
-      ++i;
-    }
+    // chunk cap; they are contiguous in the file, so one send covers all. A
+    // single frame larger than the cap goes alone.
+    const std::size_t begin = i ? trace.frame_ends[i - 1] : trace.header_bytes;
+    const std::uint64_t frame_budget = cfg.pace_us ? 1 : conn.credits;
+    std::size_t end = i + 1;
+    while (end < frames && end - i < frame_budget &&
+           trace.frame_ends[end] - begin <= kCoalesceBytes)
+      ++end;
     if (!conn.sock.send_all(encode_msg(
             MsgType::kTraceData,
-            ByteView(trace.data.data() + trace.frames[first].offset, bytes))))
+            ByteView(trace.data.data() + begin, trace.frame_ends[end - 1] - begin))))
       return fail("send records");
+    const std::uint64_t n_frames = end - i;
+    i = end;
     conn.credits -= n_frames;
     records_sent += n_frames;
     since_ping += static_cast<std::size_t>(n_frames);

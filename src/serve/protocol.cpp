@@ -136,26 +136,6 @@ std::optional<DigestReport> decode_digest(ByteView payload) {
   return d;
 }
 
-std::string campaign_id_from_meta(const trace::TraceMeta& meta) {
-  // Only the keys that shape the verification context participate; recorder
-  // provenance keys (attack, config_digest, ...) differ across traces of the
-  // same campaign and must not.
-  std::string id;
-  auto add = [&](const char* key) {
-    id += key;
-    id += '=';
-    id += meta.get(key).value_or("?");
-    id += ';';
-  };
-  add(trace::kMetaSeed);
-  add(trace::kMetaForwarders);
-  add(trace::kMetaScheme);
-  add(trace::kMetaMarkProbability);
-  add(trace::kMetaMacLen);
-  add(trace::kMetaAnonLen);
-  return id;
-}
-
 void MsgParser::feed(ByteView chunk) {
   if (dead_) return;
   buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());

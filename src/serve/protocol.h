@@ -40,7 +40,6 @@
 #include <optional>
 #include <string>
 
-#include "trace/format.h"
 #include "util/bytes.h"
 
 namespace pnm::serve {
@@ -114,13 +113,6 @@ struct DigestReport {
 };
 Bytes encode_digest(const DigestReport& d);
 std::optional<DigestReport> decode_digest(ByteView payload);
-
-/// Canonical campaign identity string derived from a trace header — two
-/// traces recorded under the same campaign parameters (and thus verifiable
-/// by the same sink) map to the same id. The daemon computes its id from the
-/// bootstrap trace; clients compute theirs from the trace they stream, and
-/// the handshake rejects mismatches before any record crosses the wire.
-std::string campaign_id_from_meta(const trace::TraceMeta& meta);
 
 /// Incremental message framer: feed() arbitrary byte chunks, poll() complete
 /// messages. Mirrors trace::TraceStreamParser's contract — a message split

@@ -16,12 +16,6 @@ namespace pnm::serve {
 
 namespace {
 
-std::optional<marking::SchemeKind> scheme_kind_by_name(const std::string& name) {
-  for (auto kind : marking::all_scheme_kinds())
-    if (name == marking::scheme_kind_name(kind)) return kind;
-  return std::nullopt;
-}
-
 /// Deterministic per-epoch master secret: epoch 0 is the campaign secret
 /// itself; epoch e re-derives by hashing (secret || e). Both ends of a
 /// future key-rotation protocol can compute the same schedule offline.
@@ -39,9 +33,10 @@ Bytes epoch_master_secret(std::uint64_t seed, std::uint64_t epoch) {
 
 }  // namespace
 
-Server::Server(const ServerConfig& cfg)
+Server::Server(const ServerConfig& cfg, core::CampaignWorld world)
     : cfg_(cfg),
       counters_(cfg.counters ? cfg.counters : &local_counters_),
+      world_(std::move(world)),
       sessions_total_(&counters_->registry().counter("serve_sessions")),
       sessions_active_(&counters_->registry().gauge("serve_sessions_active")),
       records_total_(&counters_->registry().counter("serve_records")),
@@ -59,43 +54,22 @@ std::unique_ptr<Server> Server::create(const ServerConfig& cfg, std::string* err
   trace::TraceReader reader(cfg.campaign_trace);
   if (!reader.valid())
     return fail("campaign trace: " + reader.header_error());
-  const trace::TraceMeta& meta = reader.meta();
-  auto seed = meta.get_u64(trace::kMetaSeed);
-  auto forwarders = meta.get_u64(trace::kMetaForwarders);
-  auto scheme_name = meta.get(trace::kMetaScheme);
-  if (!seed || !forwarders || !scheme_name)
-    return fail("campaign trace header missing seed/forwarders/scheme");
-  if (*forwarders < 2 || *forwarders > 60000)
-    return fail("implausible forwarder count in campaign trace header");
-  auto kind = scheme_kind_by_name(*scheme_name);
-  if (!kind) return fail("unknown scheme '" + *scheme_name + "' in campaign trace");
+  std::string why;
+  std::optional<core::CampaignWorld> world = core::decode_campaign(reader.meta(), &why);
+  if (!world) return fail("campaign trace: " + why);
 
-  marking::SchemeConfig scfg;
-  if (auto prob = meta.get(trace::kMetaMarkProbability))
-    scfg.mark_probability = std::strtod(prob->c_str(), nullptr);
-  if (auto mac = meta.get_u64(trace::kMetaMacLen)) scfg.mac_len = *mac;
-  if (auto anon = meta.get_u64(trace::kMetaAnonLen)) scfg.anon_len = *anon;
-
-  std::unique_ptr<Server> server(new Server(cfg));
-  server->meta_ = meta;
-  server->campaign_id_ = campaign_id_from_meta(meta);
-  server->seed_ = *seed;
-  server->topo_ = std::make_unique<net::Topology>(
-      net::Topology::chain(static_cast<std::size_t>(*forwarders)));
-  server->keys_ = std::make_shared<const crypto::KeyStore>(
-      epoch_master_secret(*seed, 0), server->topo_->node_count());
-  server->scheme_ = marking::make_scheme(*kind, scfg);
+  std::unique_ptr<Server> server(new Server(cfg, std::move(*world)));
+  const core::CampaignWorld& w = server->world_;
+  server->campaign_id_ = core::campaign_id_from_meta(reader.meta());
 
   sink::BatchVerifierConfig bcfg;
   bcfg.threads = cfg.threads;
-  if (cfg.scoped && *kind == marking::SchemeKind::kPnm)
+  if (cfg.scoped && w.kind == marking::SchemeKind::kPnm)
     bcfg.strategy = sink::BatchStrategy::kScoped;
   std::size_t shards = cfg.shards ? cfg.shards : 1;
-  server->bank_ = std::make_unique<sink::VerifierBank>(
-      *server->scheme_, *server->keys_, shards, bcfg, server->topo_.get(),
-      server->counters_);
-  server->engine_ = std::make_unique<sink::TracebackEngine>(
-      *server->scheme_, *server->keys_, *server->topo_);
+  server->bank_ = std::make_unique<sink::VerifierBank>(*w.scheme, w.keys, shards, bcfg,
+                                                       &w.topo, server->counters_);
+  server->engine_ = std::make_unique<sink::TracebackEngine>(*w.scheme, w.keys, w.topo);
   server->engine_->bind_metrics(server->counters_->registry());
 
   ingest::PipelineConfig pcfg;
@@ -198,30 +172,29 @@ void Server::accept_loop(Listener* listener) {
 
 void Server::spawn_session(Socket sock) {
   std::uint64_t id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  int fd = sock.fd();
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    session_fds_[id] = fd;
-    session_threads_.emplace_back(
-        [this, id](Socket s) {
-          auto session = std::make_unique<Session>(std::move(s), *this, id);
-          sessions_total_->add();
-          sessions_served_.fetch_add(1, std::memory_order_relaxed);
-          pipeline_->attach_producer();
-          sessions_active_->set(
-              static_cast<std::int64_t>(pipeline_->active_producers()));
-          session->run();
-          pipeline_->detach_producer();
-          sessions_active_->set(
-              static_cast<std::int64_t>(pipeline_->active_producers()));
-          // Unregister while the Session (and its socket) is still alive:
-          // the fd in session_fds_ is then always this session's own open
-          // descriptor, so drain's forced ::shutdown can never hit a number
-          // the kernel recycled onto an unrelated socket.
-          unregister_session(id);
-        },
-        std::move(sock));
+    session_fds_[id] = sock.fd();
   }
+  session_threads_.spawn(
+      [this, id](Socket s) {
+        auto session = std::make_unique<Session>(std::move(s), *this, id);
+        sessions_total_->add();
+        sessions_served_.fetch_add(1, std::memory_order_relaxed);
+        pipeline_->attach_producer();
+        sessions_active_->set(
+            static_cast<std::int64_t>(pipeline_->active_producers()));
+        session->run();
+        pipeline_->detach_producer();
+        sessions_active_->set(
+            static_cast<std::int64_t>(pipeline_->active_producers()));
+        // Unregister while the Session (and its socket) is still alive:
+        // the fd in session_fds_ is then always this session's own open
+        // descriptor, so drain's forced ::shutdown can never hit a number
+        // the kernel recycled onto an unrelated socket.
+        unregister_session(id);
+      },
+      std::move(sock));
 }
 
 void Server::unregister_session(std::uint64_t id) {
@@ -261,7 +234,7 @@ std::optional<std::uint64_t> Server::rekey() {
   }
   std::uint64_t epoch = bank_->key_epoch() + 1;
   auto keys = std::make_shared<const crypto::KeyStore>(
-      epoch_master_secret(seed_, epoch), topo_->node_count());
+      epoch_master_secret(world_.seed, epoch), world_.topo.node_count());
   bank_->rekey(std::move(keys), epoch);
   rekeys_total_->add();
   key_epoch_gauge_->set(static_cast<std::int64_t>(epoch));
@@ -309,17 +282,10 @@ DrainReport Server::drain() {
   }
   tcp_listener_.close();
   unix_listener_.close();
-  {
-    // Join outside sessions_mu_: a session thread's exit path takes that
-    // mutex in unregister_session, so joining under the lock would deadlock
-    // against any session that outlived the forced-shutdown grace period.
-    std::vector<std::thread> session_threads;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      session_threads.swap(session_threads_);
-    }
-    for (auto& t : session_threads) t.join();
-  }
+  // Not under sessions_mu_: a session thread's exit path takes that mutex in
+  // unregister_session, so joining under it would deadlock against any
+  // session that outlived the forced-shutdown grace period.
+  session_threads_.join_all();
   pipeline_->retire_shard_gauges();
 
   DrainReport report;

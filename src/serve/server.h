@@ -1,17 +1,27 @@
 // The long-running sink daemon behind `pnm serve`.
 //
-// One Server owns the whole verification world of a campaign — topology,
-// key store (per epoch), marking scheme, sharded VerifierBank, traceback
-// engine and one ingest::Pipeline — plus the listeners that feed it:
+// One Server owns the whole verification world of a campaign — decoded from
+// the bootstrap trace's header by core::decode_campaign, the decoder file
+// replay uses: topology, key store (per epoch) and marking scheme — plus a
+// sharded VerifierBank, a traceback engine and one ingest::Pipeline, and the
+// listeners and threads that feed it:
 //
-//   TCP 127.0.0.1:<port> ┐                         ┌ shard lanes ┐
-//   unix socket <path>   ┼─ accept → Session threads ┼ Pipeline   ┼─ merge
-//                        │  (one push per message)   └────────────┘   digest
-//   admin 127.0.0.1:<p>  ┴─ /metrics /healthz /drain /rekey
+//   TCP 127.0.0.1:<port> ─┐ accept thread ┐               ┌ shard lanes ┐
+//   unix socket <path>   ─┘ (one each)    ├→ Session thread ┼ Pipeline  ┼→ merge
+//                                         │  per connection └───────────┘  thread
+//                                         │  (TraceStreamParser → one      → digest
+//                                         │   push_batch per message)
+//   admin 127.0.0.1:<p>  ── accept thread ─→ handler thread per request:
+//                                            /metrics /healthz /drain /rekey ...
 //
-// Every session pushes into the same pipeline, so the global verdict digest
-// covers the full interleaved arrival order while each session's
-// StreamDigest covers its own stream — both deterministic.
+// Session and admin handler threads are each a TaskThreads set: a thread is
+// joined soon after its connection ends, so a daemon that has served
+// thousands of sessions holds only the live ones' stacks. Every session
+// parses its byte stream with the framer file replay reads through and
+// pushes into the same pipeline, so the global verdict digest covers the
+// full interleaved arrival order while each session's StreamDigest covers
+// its own stream — both deterministic, and a session's equals `pnm replay`
+// of the same bytes.
 //
 // Live re-keying (/rekey) is quiesce-swap-resume: a writer lock on the
 // ingest gate stops new pushes, Pipeline::wait_quiescent drains queues,
@@ -23,7 +33,7 @@
 // /rekey reports failure instead of racing the live lanes.
 //
 // Drain (/drain) stops the listeners, waits for sessions to finish, closes
-// the pipeline, joins the consumer and reports the final record count and
+// the pipeline, joins the consumer and the remaining threads and reports the final record count and
 // global digest. It is idempotent and is also the daemon's only exit path —
 // Server::wait() blocks until a drain completes.
 #pragma once
@@ -46,9 +56,9 @@
 #include "obs/flight.h"
 #include "serve/session.h"
 #include "serve/socket.h"
+#include "serve/task_threads.h"
 #include "sink/batch_verifier.h"
 #include "sink/traceback.h"
-#include "trace/format.h"
 #include "util/counters.h"
 
 namespace pnm::serve {
@@ -137,7 +147,7 @@ class Server {
   void note_session_abort();
 
  private:
-  explicit Server(const ServerConfig& cfg);
+  Server(const ServerConfig& cfg, core::CampaignWorld world);
   void accept_loop(Listener* listener);
   void spawn_session(Socket sock);
   void unregister_session(std::uint64_t id);
@@ -148,12 +158,8 @@ class Server {
 
   // Campaign world (construction order matters: later members reference
   // earlier ones).
-  trace::TraceMeta meta_;
   std::string campaign_id_;
-  std::uint64_t seed_ = 0;
-  std::unique_ptr<net::Topology> topo_;
-  std::shared_ptr<const crypto::KeyStore> keys_;  ///< epoch 0
-  std::unique_ptr<marking::MarkingScheme> scheme_;
+  core::CampaignWorld world_;  ///< decoded from the bootstrap trace's header
   std::unique_ptr<sink::VerifierBank> bank_;
   std::unique_ptr<sink::TracebackEngine> engine_;
   std::unique_ptr<ingest::Pipeline> pipeline_;
@@ -177,7 +183,7 @@ class Server {
   std::mutex sessions_mu_;
   std::condition_variable sessions_cv_;
   std::unordered_map<std::uint64_t, int> session_fds_;  ///< live sessions
-  std::vector<std::thread> session_threads_;
+  TaskThreads session_threads_;
   std::atomic<std::uint64_t> next_session_id_{1};
   std::atomic<std::uint64_t> sessions_served_{0};
 

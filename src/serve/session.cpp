@@ -177,7 +177,7 @@ bool Session::push_pending() {
 bool Session::check_campaign() {
   if (header_checked_ || !trace_.header_ready()) return true;
   header_checked_ = true;
-  if (campaign_id_from_meta(trace_.meta()) != server_.campaign_id()) {
+  if (core::campaign_id_from_meta(trace_.meta()) != server_.campaign_id()) {
     abort_session("trace campaign does not match sink campaign");
     return false;
   }

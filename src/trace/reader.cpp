@@ -1,150 +1,17 @@
 #include "trace/reader.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/crc32.h"
 
 namespace pnm::trace {
 
-TraceReader::TraceReader(std::istream& in) : in_(&in) { init(); }
+namespace {
 
-TraceReader::TraceReader(const std::string& path)
-    : owned_(std::make_unique<std::ifstream>(path, std::ios::binary)) {
-  if (!owned_->is_open()) {
-    fail_header("cannot open '" + path + "'");
-    return;
-  }
-  in_ = owned_.get();
-  init();
-}
+constexpr std::size_t kPrologueBytes = sizeof(kMagic) + 2;  // magic + u16 version
 
-void TraceReader::init() {
-  char magic[sizeof(kMagic)] = {};
-  in_->read(magic, sizeof(magic));
-  if (in_->gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    fail_header("bad magic (not a .pnmtrace file)");
-    return;
-  }
-  if (!read_u16(version_)) {
-    fail_header("truncated version field");
-    return;
-  }
-  if (version_ != kFormatVersion) {
-    fail_header("unsupported format version " + std::to_string(version_));
-    return;
-  }
-
-  // The header is an ordinary CRC frame holding the metadata map. Unlike
-  // record frames, any problem in it invalidates the whole reader — replay
-  // cannot reconstruct the campaign from untrusted metadata.
-  std::uint32_t len = 0, stored_crc = 0;
-  if (!read_u32(len)) {
-    fail_header("truncated header frame");
-    return;
-  }
-  if (len > kMaxFrameBytes) {
-    fail_header("oversized header frame");
-    return;
-  }
-  Bytes payload(len);
-  in_->read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(len));
-  if (in_->gcount() != static_cast<std::streamsize>(len) || !read_u32(stored_crc)) {
-    fail_header("truncated header frame");
-    return;
-  }
-  if (util::crc32(payload) != stored_crc) {
-    fail_header("header CRC mismatch");
-    return;
-  }
-  auto meta = TraceMeta::decode(payload);
-  if (!meta) {
-    fail_header("malformed header metadata");
-    return;
-  }
-  meta_ = std::move(*meta);
-  first_record_pos_ = in_->tellg();
-  valid_ = true;
-}
-
-void TraceReader::fail_header(const std::string& why) {
-  valid_ = false;
-  finished_ = true;
-  header_error_ = why;
-}
-
-bool TraceReader::read_u16(std::uint16_t& v) {
-  std::uint8_t b[2];
-  in_->read(reinterpret_cast<char*>(b), 2);
-  if (in_->gcount() != 2) return false;
-  v = static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  return true;
-}
-
-bool TraceReader::read_u32(std::uint32_t& v) {
-  std::uint8_t b[4];
-  in_->read(reinterpret_cast<char*>(b), 4);
-  if (in_->gcount() != 4) return false;
-  v = static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-      (static_cast<std::uint32_t>(b[2]) << 16) |
-      (static_cast<std::uint32_t>(b[3]) << 24);
-  return true;
-}
-
-std::optional<ReadOutcome> TraceReader::next() {
-  if (!valid_ || finished_) return std::nullopt;
-
-  // Distinguish clean EOF (no bytes at all) from a truncated length prefix.
-  std::uint32_t len = 0;
-  {
-    std::uint8_t b[4];
-    in_->read(reinterpret_cast<char*>(b), 4);
-    std::streamsize got = in_->gcount();
-    if (got == 0) {
-      finished_ = true;
-      return std::nullopt;
-    }
-    if (got != 4) {
-      finished_ = true;
-      return ReadOutcome{ReadStatus::kTruncated, {}};
-    }
-    len = static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-          (static_cast<std::uint32_t>(b[2]) << 16) |
-          (static_cast<std::uint32_t>(b[3]) << 24);
-  }
-  if (len > kMaxFrameBytes) {
-    finished_ = true;
-    return ReadOutcome{ReadStatus::kOversized, {}};
-  }
-
-  Bytes payload(len);
-  in_->read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(len));
-  std::uint32_t stored_crc = 0;
-  if (in_->gcount() != static_cast<std::streamsize>(len) || !read_u32(stored_crc)) {
-    finished_ = true;
-    return ReadOutcome{ReadStatus::kTruncated, {}};
-  }
-
-  if (util::crc32(payload) != stored_crc) {
-    if (counters_) counters_->add(util::Metric::kTraceCrcErrors);
-    return ReadOutcome{ReadStatus::kBadCrc, {}};
-  }
-
-  auto record = TraceRecord::decode(payload);
-  if (!record) {
-    if (counters_) counters_->add(util::Metric::kTraceDecodeErrors);
-    return ReadOutcome{ReadStatus::kBadRecord, {}};
-  }
-  if (counters_) counters_->add(util::Metric::kTraceRecordsRead);
-  return ReadOutcome{ReadStatus::kRecord, std::move(*record)};
-}
-
-void TraceReader::rewind() {
-  if (!valid_) return;
-  in_->clear();
-  in_->seekg(first_record_pos_);
-  finished_ = false;
-}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // TraceStreamParser
@@ -159,9 +26,14 @@ std::uint32_t TraceStreamParser::peek_u32(std::size_t offset) const {
 
 void TraceStreamParser::consume(std::size_t n) {
   head_ += n;
-  // Compact once the dead prefix dominates the buffer, so memory stays
-  // bounded by the unparsed tail, not the whole session history.
-  if (head_ > 4096 && head_ * 2 > buffer_.size()) {
+  consumed_ += n;
+  if (head_ == buffer_.size()) {
+    // Everything parsed: reuse the allocation from the start.
+    buffer_.clear();
+    head_ = 0;
+  } else if (head_ > 4096 && head_ * 2 > buffer_.size()) {
+    // Compact once the dead prefix dominates the buffer, so memory stays
+    // bounded by the unparsed tail, not the whole session history.
     buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
@@ -172,7 +44,59 @@ void TraceStreamParser::feed(ByteView bytes) {
   append(buffer_, bytes);
 }
 
+std::size_t TraceStreamParser::feed_from(std::istream& in, std::size_t n) {
+  if (finished_ || dead_ || n == 0) return 0;
+  const std::size_t old = buffer_.size();
+  buffer_.resize(old + n);
+  const std::size_t got = static_cast<std::size_t>(in.rdbuf()->sgetn(
+      reinterpret_cast<char*>(buffer_.data() + old), static_cast<std::streamsize>(n)));
+  buffer_.resize(old + got);
+  return got;
+}
+
+std::size_t TraceStreamParser::wanted() const {
+  if (finished_ || dead_) return 0;
+  std::size_t need = 4;
+  if (!saw_magic_) {
+    need = kPrologueBytes;
+  } else if (have(4)) {
+    const std::uint32_t len = peek_u32(0);
+    if (len > kMaxFrameBytes) return 0;
+    need = 4 + static_cast<std::size_t>(len) + 4;
+  }
+  return need > buffered() ? need - buffered() : 0;
+}
+
 void TraceStreamParser::finish() { finished_ = true; }
+
+void TraceStreamParser::restart_records() {
+  if (!header_ready_) return;
+  buffer_.clear();
+  head_ = 0;
+  consumed_ = header_bytes_;
+  finished_ = false;
+  dead_ = false;
+}
+
+TraceStreamParser::Frame TraceStreamParser::peek_frame() const {
+  Frame f;
+  if (!have(4)) {
+    f.kind = buffered() == 0 ? Frame::kNone : Frame::kPartial;
+    return f;
+  }
+  const std::uint32_t len = peek_u32(0);
+  if (len > kMaxFrameBytes) {
+    f.kind = Frame::kOversized;
+  } else if (!have(4 + static_cast<std::size_t>(len) + 4)) {
+    f.kind = Frame::kPartial;
+  } else {
+    f.kind = Frame::kWhole;
+    f.payload = ByteView(at(4), len);
+    f.crc_ok = util::crc32(f.payload) == peek_u32(4 + len);
+    f.bytes = 4 + static_cast<std::size_t>(len) + 4;
+  }
+  return f;
+}
 
 bool TraceStreamParser::parse_header() {
   auto fail = [&](const std::string& why) {
@@ -182,36 +106,34 @@ bool TraceStreamParser::parse_header() {
     return false;
   };
   if (!saw_magic_) {
-    if (!have(sizeof(kMagic) + 2)) {
+    const std::size_t n = std::min(buffered(), sizeof(kMagic));
+    if (n > 0 && std::memcmp(at(0), kMagic, n) != 0)
+      return fail("bad magic (not a .pnmtrace stream)");
+    if (!have(kPrologueBytes)) {
       if (finished_) return fail("truncated magic/version");
       return false;
     }
-    if (std::memcmp(at(0), kMagic, sizeof(kMagic)) != 0)
-      return fail("bad magic (not a .pnmtrace stream)");
     version_ = static_cast<std::uint16_t>(*at(6) | (*at(7) << 8));
     if (version_ != kFormatVersion)
       return fail("unsupported format version " + std::to_string(version_));
-    consume(sizeof(kMagic) + 2);
+    consume(kPrologueBytes);
     saw_magic_ = true;
   }
-  // Header frame: any defect invalidates the whole stream, as in TraceReader.
-  if (!have(4)) {
+  // The header is an ordinary CRC frame holding the metadata map. Unlike a
+  // record frame, any defect in it fails the whole stream: a sink cannot be
+  // rebuilt from untrusted metadata.
+  const Frame f = peek_frame();
+  if (f.kind == Frame::kOversized) return fail("oversized header frame");
+  if (f.kind != Frame::kWhole) {
     if (finished_) return fail("truncated header frame");
     return false;
   }
-  std::uint32_t len = peek_u32(0);
-  if (len > kMaxFrameBytes) return fail("oversized header frame");
-  if (!have(4 + static_cast<std::size_t>(len) + 4)) {
-    if (finished_) return fail("truncated header frame");
-    return false;
-  }
-  Bytes payload(at(4), at(4) + len);
-  std::uint32_t stored_crc = peek_u32(4 + len);
-  if (util::crc32(payload) != stored_crc) return fail("header CRC mismatch");
-  auto meta = TraceMeta::decode(payload);
+  if (!f.crc_ok) return fail("header CRC mismatch");
+  auto meta = TraceMeta::decode(f.payload);
   if (!meta) return fail("malformed header metadata");
-  consume(4 + static_cast<std::size_t>(len) + 4);
+  consume(f.bytes);
   meta_ = std::move(*meta);
+  header_bytes_ = consumed_;
   header_ready_ = true;
   return true;
 }
@@ -220,47 +142,85 @@ std::optional<ReadOutcome> TraceStreamParser::poll() {
   if (dead_) return std::nullopt;
   if (!header_ready_ && !parse_header()) return std::nullopt;
 
-  if (!have(4)) {
-    if (finished_ && buffered() > 0) {
-      // Disconnect mid-length-prefix: same kTruncated a file reader reports.
-      dead_ = true;
+  const Frame f = peek_frame();
+  switch (f.kind) {
+    case Frame::kNone:
+      return std::nullopt;  // clean end, or no bytes of the next frame yet
+    case Frame::kPartial:
+      if (!finished_) return std::nullopt;
+      dead_ = true;  // input ended mid-frame
       return ReadOutcome{ReadStatus::kTruncated, {}};
-    }
-    return std::nullopt;  // clean end (finished_ && empty) or need more bytes
-  }
-  std::uint32_t len = peek_u32(0);
-  if (len > kMaxFrameBytes) {
-    dead_ = true;
-    return ReadOutcome{ReadStatus::kOversized, {}};
-  }
-  if (!have(4 + static_cast<std::size_t>(len) + 4)) {
-    if (finished_) {
+    case Frame::kOversized:
       dead_ = true;
-      return ReadOutcome{ReadStatus::kTruncated, {}};
-    }
-    return std::nullopt;
+      return ReadOutcome{ReadStatus::kOversized, {}};
+    case Frame::kWhole:
+      break;
   }
 
-  Bytes payload(at(4), at(4) + len);
-  std::uint32_t stored_crc = peek_u32(4 + len);
-  consume(4 + static_cast<std::size_t>(len) + 4);
-
-  if (util::crc32(payload) != stored_crc) {
+  ReadOutcome out;
+  if (!f.crc_ok) {
     if (counters_) counters_->add(util::Metric::kTraceCrcErrors);
-    return ReadOutcome{ReadStatus::kBadCrc, {}};
-  }
-  auto record = TraceRecord::decode(payload);
-  if (!record) {
+    out.status = ReadStatus::kBadCrc;
+  } else if (auto record = TraceRecord::decode(f.payload)) {
+    if (counters_) counters_->add(util::Metric::kTraceRecordsRead);
+    out.record = std::move(*record);
+  } else {
     if (counters_) counters_->add(util::Metric::kTraceDecodeErrors);
-    return ReadOutcome{ReadStatus::kBadRecord, {}};
+    out.status = ReadStatus::kBadRecord;
   }
-  if (counters_) counters_->add(util::Metric::kTraceRecordsRead);
-  return ReadOutcome{ReadStatus::kRecord, std::move(*record)};
+  consume(f.bytes);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// TraceReader
+// ---------------------------------------------------------------------------
+
+TraceReader::TraceReader(std::istream& in) : in_(&in) { read_header(); }
+
+TraceReader::TraceReader(const std::string& path)
+    : owned_(std::make_unique<std::ifstream>(path, std::ios::binary)) {
+  if (!owned_->is_open()) {
+    open_error_ = "cannot open '" + path + "'";
+    return;
+  }
+  in_ = owned_.get();
+  read_header();
+}
+
+void TraceReader::read_header() {
+  // wanted() never asks past the header frame, so the header completes with
+  // no record byte buffered and the stream sits at the first record.
+  while (!parser_.header_ready() && !parser_.dead()) {
+    fill();
+    parser_.poll();
+  }
+  if (valid()) first_record_pos_ = in_->tellg();
+}
+
+void TraceReader::fill() {
+  if (parser_.feed_from(*in_, parser_.wanted()) == 0) parser_.finish();
+}
+
+std::optional<ReadOutcome> TraceReader::next() {
+  if (!valid()) return std::nullopt;
+  while (true) {
+    if (auto out = parser_.poll()) return out;
+    if (parser_.dead() || parser_.finished()) return std::nullopt;
+    fill();
+  }
+}
+
+void TraceReader::rewind() {
+  if (!valid()) return;
+  in_->clear();
+  in_->seekg(first_record_pos_);
+  parser_.restart_records();
 }
 
 TraceStat TraceReader::stat() {
   TraceStat s;
-  if (!valid_) return s;
+  if (!valid()) return s;
   rewind();
   bool first = true;
   while (auto outcome = next()) {

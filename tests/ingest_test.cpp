@@ -643,7 +643,8 @@ struct LiveStack {
 };
 
 // Streams every record of the recorded campaign into the pipeline with a
-// per-stream tap attached; returns the number of records pushed.
+// per-stream tap attached, one push_batch per record; returns the number of
+// records pushed.
 std::uint64_t push_stream(ingest::Pipeline& pipeline, const std::string& path,
                           std::shared_ptr<ingest::StreamSink> sink) {
   trace::TraceReader reader(path);
@@ -654,9 +655,8 @@ std::uint64_t push_stream(ingest::Pipeline& pipeline, const std::string& path,
     auto packet = net::decode_packet(outcome->record.wire);
     if (!packet) continue;
     packet->delivered_by = outcome->record.delivered_by;
-    if (!pipeline.push(std::move(*packet), outcome->record.time_s(), sink,
-                       stream_seq))
-      break;
+    ingest::PushRecord record{std::move(*packet), outcome->record.time_s()};
+    if (pipeline.push_batch(std::span(&record, 1), sink, stream_seq) != 1) break;
     ++stream_seq;
   }
   return stream_seq;
@@ -846,8 +846,8 @@ TEST(MergeStage, PushRacingCloseStillReachesTheFrontier) {
     for (int p = 0; p < 3; ++p) {
       producers.emplace_back([&, p] {
         for (std::size_t i = static_cast<std::size_t>(p);; ++i) {
-          net::Packet copy = packets[i % packets.size()];
-          if (!stack.pipeline.push(std::move(copy), 0.0)) return;
+          ingest::PushRecord record{packets[i % packets.size()]};
+          if (stack.pipeline.push_batch(std::span(&record, 1), nullptr, 0) != 1) return;
         }
       });
     }

@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <iterator>
@@ -509,6 +511,16 @@ long proc_status(const std::string& field) {
   return 0;
 }
 
+/// The default thread stack size in kB.
+long default_stack_kb() {
+  pthread_attr_t attr;
+  std::size_t stack_bytes = 0;
+  EXPECT_EQ(pthread_getattr_default_np(&attr), 0);
+  pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  return static_cast<long>(stack_bytes / 1024);
+}
+
 TEST(Serve, AdminHandlersAreJoinedAsRequestsFinish) {
   auto server = make_server({});
   ASSERT_NE(server, nullptr);
@@ -517,12 +529,7 @@ TEST(Serve, AdminHandlersAreJoinedAsRequestsFinish) {
 
   // A finished but unjoined thread has left the kernel's thread count, yet it
   // keeps its stack mapped until join, so address space shows the build-up.
-  pthread_attr_t attr;
-  std::size_t stack_bytes = 0;
-  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
-  pthread_attr_getstacksize(&attr, &stack_bytes);
-  pthread_attr_destroy(&attr);
-  const long stack_kb = static_cast<long>(stack_bytes / 1024);
+  const long stack_kb = default_stack_kb();
 
   const long threads_before = proc_status("Threads");
   const long vm_before_kb = proc_status("VmSize");
@@ -533,6 +540,66 @@ TEST(Serve, AdminHandlersAreJoinedAsRequestsFinish) {
       << "200 scrapes left more than 20 thread stacks (" << stack_kb
       << " kB each) mapped";
   server->drain();
+}
+
+TEST(Serve, SessionThreadsAreJoinedAsSessionsFinish) {
+  const auto& fx = serve_fixture();
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  serve::LoadgenConfig lg;
+  lg.port = server->tcp_port();
+  lg.traces = {fx.trace_a};
+  ASSERT_TRUE(serve::run_loadgen(lg).ok);  // warm-up: first-use allocations
+
+  // As for the admin handlers: an unjoined session thread keeps its stack
+  // mapped, so 200 sessions served one after another show in VmSize.
+  const long stack_kb = default_stack_kb();
+  const long vm_before_kb = proc_status("VmSize");
+  lg.repeat = 200;
+  serve::LoadgenStats stats = serve::run_loadgen(lg);
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.sessions, 200u);
+  EXPECT_LT(proc_status("VmSize") - vm_before_kb, 20 * stack_kb)
+      << "200 sessions left more than 20 thread stacks (" << stack_kb
+      << " kB each) mapped";
+  serve::DrainReport report = server->drain();
+  EXPECT_EQ(report.sessions, 201u);
+}
+
+TEST(Serve, LoadgenRefusesDamagedHeaderBeforeConnecting) {
+  // loadgen frames its traces with the sink's own parser, so a header the
+  // sink would refuse is refused before any connection: the error names the
+  // header, not the (unused) port.
+  const auto& fx = serve_fixture();
+  std::ifstream in(fx.trace_a, std::ios::binary);
+  const std::string blob{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  ASSERT_GT(blob.size(), 16u);
+  std::uint32_t header_len = 0;  // u32 little-endian, after magic and version
+  std::memcpy(&header_len, blob.data() + 8, sizeof(header_len));
+  std::string bad_crc = blob;
+  bad_crc[8 + 4 + header_len] ^= 0x01;  // first byte of the header frame's CRC
+  std::string version_2 = blob;
+  version_2[6] = 2;  // u16 version right after the magic
+
+  std::string error;
+  serve::Listener probe = serve::Listener::tcp(0, &error);
+  ASSERT_TRUE(probe.valid()) << error;
+  const std::uint16_t unused_port = probe.port();
+  probe.close();
+
+  const std::string base = ::testing::TempDir() + "/serve_test." + std::to_string(::getpid());
+  for (const auto& [tag, bytes] : {std::pair{"crc", bad_crc}, std::pair{"v2", version_2}}) {
+    const std::string path = base + ".damaged-" + tag + ".pnmtrace";
+    std::ofstream(path, std::ios::binary) << bytes;
+    serve::LoadgenConfig lg;
+    lg.port = unused_port;
+    lg.traces = {path};
+    serve::LoadgenStats stats = serve::run_loadgen(lg);
+    EXPECT_FALSE(stats.ok) << tag;
+    EXPECT_NE(stats.error.find("header"), std::string::npos) << tag << ": " << stats.error;
+    EXPECT_EQ(stats.error.find("connect:"), std::string::npos) << tag << ": " << stats.error;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -335,7 +335,7 @@ TEST(TraceHardening, StatOnDamagedStreamCountsEveryClass) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental stream parser (the socket-facing twin of TraceReader).
+// The framer fed directly, as a socket session feeds it.
 
 ByteView blob_view(const std::string& blob, std::size_t off, std::size_t len) {
   return ByteView(reinterpret_cast<const std::uint8_t*>(blob.data()) + off, len);
@@ -474,23 +474,85 @@ TEST(TraceStreamParser, RejectsBadMagicImmediately) {
   EXPECT_NE(parser.header_error().find("magic"), std::string::npos);
 }
 
-TEST(TraceStreamParser, MatchesTraceReaderOutcomeForOutcome) {
-  // Same damaged stream through both readers: outcomes must agree exactly.
-  std::string blob = build_blob(9);
-  std::size_t rec0 = first_record_offset(blob);
-  blob[rec0 + 4 + 1] ^= 0x80;  // CRC-fail record 0
+/// One outcome as text: a status letter, then a record's wire bytes.
+std::string outcome_text(const trace::ReadOutcome& o) {
+  std::string text(1, "RCBTO"[static_cast<int>(o.status)]);
+  if (o.status == trace::ReadStatus::kRecord)
+    text.append(o.record.wire.begin(), o.record.wire.end());
+  return text;
+}
+
+/// Every outcome of `blob` fed to a parser as [0, split) and [split, end),
+/// then finished; a trailing "H" when the header was refused.
+std::vector<std::string> parser_outcomes(const std::string& blob, std::size_t split) {
+  trace::TraceStreamParser parser;
+  std::vector<std::string> out;
+  auto drain = [&] {
+    while (auto outcome = parser.poll()) out.push_back(outcome_text(*outcome));
+  };
+  parser.feed(blob_view(blob, 0, split));
+  drain();
+  parser.feed(blob_view(blob, split, blob.size() - split));
+  drain();
+  parser.finish();
+  drain();
+  if (parser.header_failed()) out.push_back("H");
+  return out;
+}
+
+/// The same through TraceReader over an istringstream.
+std::vector<std::string> reader_outcomes(const std::string& blob) {
   std::istringstream in(blob);
   trace::TraceReader reader(in);
-  ASSERT_TRUE(reader.valid());
-  std::size_t ref_records = 0, ref_bad = 0;
-  while (auto outcome = reader.next()) {
-    if (outcome->status == trace::ReadStatus::kRecord) ++ref_records;
-    if (outcome->status == trace::ReadStatus::kBadCrc) ++ref_bad;
+  std::vector<std::string> out;
+  while (auto outcome = reader.next()) out.push_back(outcome_text(*outcome));
+  EXPECT_FALSE(reader.next().has_value());  // an ended stream stays ended
+  if (!reader.valid()) out.push_back("H");
+  return out;
+}
+
+/// True when no outcome follows a fatal one (kTruncated 'T', kOversized 'O').
+bool nothing_after_fatal(const std::vector<std::string>& outcomes) {
+  for (std::size_t i = 0; i + 1 < outcomes.size(); ++i)
+    if (outcomes[i][0] == 'T' || outcomes[i][0] == 'O') return false;
+  return true;
+}
+
+TEST(TraceStreamParser, MatchesTraceReaderOutcomeForOutcome) {
+  // One framer behind every reader: a damaged stream gives the same outcome
+  // sequence fed whole, split in two at every byte offset, or read through
+  // TraceReader. The damage: a CRC-bad record, a CRC-clean malformed record
+  // and a tail cut inside the last frame.
+  const std::string four = build_blob(4);
+  std::string blob = four;
+  blob[first_record_offset(blob) + 4 + 1] ^= 0x80;  // CRC-fail record 0
+  const Bytes malformed = {0x01, 0x02, 0x03};         // too short to be a record
+  ByteWriter frame;
+  frame.u32(static_cast<std::uint32_t>(malformed.size()));
+  frame.raw(malformed);
+  frame.u32(util::crc32(malformed));
+  blob.append(reinterpret_cast<const char*>(frame.bytes().data()), frame.bytes().size());
+  const std::string last_frame = build_blob(5).substr(four.size());
+  blob.append(last_frame.substr(0, last_frame.size() - 3));
+
+  const std::vector<std::string> whole = parser_outcomes(blob, blob.size());
+  std::string codes;
+  for (const std::string& o : whole) codes += o[0];
+  EXPECT_EQ(codes, "CRRRBT");
+  EXPECT_EQ(reader_outcomes(blob), whole);
+  for (std::size_t split = 0; split <= blob.size(); ++split)
+    ASSERT_EQ(parser_outcomes(blob, split), whole) << "split at byte " << split;
+
+  // Flip each byte of a small trace in turn: whatever the damage, no crash,
+  // nothing after a fatal outcome, and both front ends agree.
+  const std::string small = build_blob(3);
+  for (std::size_t at = 0; at < small.size(); ++at) {
+    std::string flipped = small;
+    flipped[at] ^= 0xFF;
+    const std::vector<std::string> got = parser_outcomes(flipped, flipped.size());
+    EXPECT_TRUE(nothing_after_fatal(got)) << "flip at byte " << at;
+    ASSERT_EQ(reader_outcomes(flipped), got) << "flip at byte " << at;
   }
-  trace::TraceStreamParser parser;
-  ParsedStream got = feed_in_chunks(parser, blob, 5);
-  EXPECT_EQ(got.records, ref_records);
-  EXPECT_EQ(got.bad_crc, ref_bad);
 }
 
 }  // namespace

@@ -24,15 +24,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/models.h"
 #include "core/campaign.h"
-#include "crypto/keys.h"
-#include "marking/scheme.h"
-#include "net/topology.h"
 #include "net/wire.h"
 #include "sink/batch_verifier.h"
 #include "sink/scoped_verify.h"
@@ -53,28 +51,23 @@ std::vector<std::string> corpus_names() {
   return names;
 }
 
-/// One verifier's context rebuilt from a trace header, as replay does.
+/// One verifier's context rebuilt from a trace header by the decoder replay
+/// and the serve daemon use, plus the trace's decodable packets.
 struct Campaign {
-  net::Topology topo;
-  crypto::KeyStore keys;
-  std::unique_ptr<marking::MarkingScheme> scheme;
-  bool pnm = false;
+  core::CampaignWorld world;
   std::vector<net::Packet> packets;
+  bool pnm() const { return world.kind == marking::SchemeKind::kPnm; }
 };
 
-Campaign load(const std::string& name) {
+std::optional<Campaign> load(const std::string& name) {
   trace::TraceReader reader((kCorpus / (name + ".pnmtrace")).string());
   EXPECT_TRUE(reader.valid()) << reader.header_error();
-  const trace::TraceMeta& meta = reader.meta();
-  marking::SchemeConfig scfg;
-  if (auto prob = meta.get(trace::kMetaMarkProbability))
-    scfg.mark_probability = std::strtod(prob->c_str(), nullptr);
-  if (auto mac = meta.get_u64(trace::kMetaMacLen)) scfg.mac_len = *mac;
-  if (auto anon = meta.get_u64(trace::kMetaAnonLen)) scfg.anon_len = *anon;
-  const std::string scheme_name = meta.get(trace::kMetaScheme).value_or("");
-  marking::SchemeKind kind = marking::SchemeKind::kPnm;
-  for (auto k : marking::all_scheme_kinds())
-    if (scheme_name == marking::scheme_kind_name(k)) kind = k;
+  std::string error;
+  std::optional<core::CampaignWorld> world = core::decode_campaign(reader.meta(), &error);
+  if (!world) {
+    ADD_FAILURE() << name << ": " << error;
+    return std::nullopt;
+  }
 
   std::vector<net::Packet> packets;
   while (auto outcome = reader.next()) {
@@ -84,14 +77,7 @@ Campaign load(const std::string& name) {
     packet->delivered_by = outcome->record.delivered_by;
     packets.push_back(std::move(*packet));
   }
-  net::Topology topo =
-      net::Topology::chain(meta.get_u64(trace::kMetaForwarders).value_or(1));
-  const std::size_t nodes = topo.node_count();
-  const Bytes secret =
-      core::campaign_master_secret(meta.get_u64(trace::kMetaSeed).value_or(0));
-  return Campaign{std::move(topo), crypto::KeyStore(secret, nodes),
-                  marking::make_scheme(kind, scfg), kind == marking::SchemeKind::kPnm,
-                  std::move(packets)};
+  return Campaign{std::move(*world), std::move(packets)};
 }
 
 /// ScopedVerifyStats::ring_expansions summed over the trace. The search widens
@@ -101,7 +87,7 @@ std::size_t ring_expansions(const Campaign& c) {
   sink::ScopedVerifyStats stats;
   util::Counters counters;
   for (const net::Packet& p : c.packets)
-    sink::scoped_verify_pnm(p, c.keys, c.topo, c.scheme->config(), &stats, nullptr,
+    sink::scoped_verify_pnm(p, c.world.keys, c.world.topo, c.world.scheme->config(), &stats, nullptr,
                             &counters);
   return stats.ring_expansions;
 }
@@ -113,7 +99,7 @@ std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole
   sink::BatchVerifierConfig bcfg;
   bcfg.threads = 1;
   bcfg.strategy = strategy;
-  sink::BatchVerifier verifier(*c.scheme, c.keys, bcfg, &c.topo, &counters);
+  sink::BatchVerifier verifier(*c.world.scheme, c.world.keys, bcfg, &c.world.topo, &counters);
   if (whole) {
     verifier.verify_batch(c.packets);
   } else {
@@ -139,8 +125,8 @@ std::string run_line(const Campaign& c, sink::BatchStrategy strategy, bool whole
 /// lower it, and an invalid mark, which sweeps the whole table, raises it.
 void log_model_vs_measured(const std::string& name, const Campaign& c,
                            const util::Counters& exhaustive) {
-  const std::size_t forwarders = c.topo.node_count() - 2;  // minus sink, source
-  const double p = c.scheme->config().mark_probability;
+  const std::size_t forwarders = c.world.topo.node_count() - 2;  // minus sink, source
+  const double p = c.world.scheme->config().mark_probability;
   const double packets = static_cast<double>(exhaustive.get(util::Metric::kPacketsVerified));
   const double measured =
       packets > 0 ? static_cast<double>(exhaustive.get(util::Metric::kPrfEvals)) / packets
@@ -152,14 +138,16 @@ void log_model_vs_measured(const std::string& name, const Campaign& c,
 }
 
 std::string compute_pins(const std::string& name) {
-  Campaign c = load(name);
+  std::optional<Campaign> loaded = load(name);
+  if (!loaded) return "undecodable trace header\n";
+  const Campaign& c = *loaded;
   std::string out;
   for (auto strategy : {sink::BatchStrategy::kExhaustive, sink::BatchStrategy::kScoped}) {
-    if (strategy == sink::BatchStrategy::kScoped && !c.pnm) continue;
+    if (strategy == sink::BatchStrategy::kScoped && !c.pnm()) continue;
     for (bool whole : {false, true}) {
       util::Counters counters;
       out += run_line(c, strategy, whole, counters) + '\n';
-      if (c.pnm && strategy == sink::BatchStrategy::kExhaustive && !whole)
+      if (c.pnm() && strategy == sink::BatchStrategy::kExhaustive && !whole)
         log_model_vs_measured(name, c, counters);
     }
   }

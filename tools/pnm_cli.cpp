@@ -169,8 +169,7 @@ bool write_file(const std::string& path, const std::string& content,
                 const char* what);
 
 pnm::marking::SchemeKind scheme_by_name(const std::string& name) {
-  for (auto kind : pnm::marking::all_scheme_kinds())
-    if (name == pnm::marking::scheme_kind_name(kind)) return kind;
+  if (auto kind = pnm::marking::scheme_kind_by_name(name)) return *kind;
   std::fprintf(stderr, "unknown scheme '%s' (try: pnm list)\n", name.c_str());
   std::exit(2);
 }

@@ -5,7 +5,7 @@
 //
 //   BM_TraceRead       — raw reader rate: frame + CRC + record decode only;
 //                        the format-overhead ceiling.
-//   BM_TraceDecode     — reader + net::decode_packet: the producer half.
+//   BM_TraceDecode     — reader + ingest::decode_record: the producer half.
 //   BM_ReplayPipeline  — the full lane (decode → shard queues → per-lane
 //                        verify → deterministic merge) on a multi-flow PNM
 //                        chain workload, swept over flow-affine shard counts
@@ -117,8 +117,8 @@ void BM_TraceDecode(benchmark::State& state) {
     std::size_t marks = 0;
     while (auto outcome = reader.next()) {
       if (outcome->status != pnm::trace::ReadStatus::kRecord) continue;
-      auto p = pnm::net::decode_packet(outcome->record.wire);
-      if (p) marks += p->marks.size();
+      auto record = pnm::ingest::decode_record(outcome->record, nullptr);
+      if (record) marks += record->packet.marks.size();
     }
     benchmark::DoNotOptimize(marks);
   }

@@ -66,7 +66,7 @@ enum class Sha256Backend : int {
 /// Stable lowercase name ("scalar", "sse2", "avx2", "shani", "avx512").
 const char* sha_backend_name(Sha256Backend backend);
 
-/// Parse a backend name as accepted by PNM_FORCE_SHA_BACKEND / --sha-backend
+/// Parse a backend name as accepted by PNM_FORCE_SHA_BACKEND
 /// ("scalar", "sse2", "avx2", "shani" / "sha-ni" / "sha_ni", "avx512";
 /// case-insensitive).
 std::optional<Sha256Backend> parse_sha_backend(std::string_view name);

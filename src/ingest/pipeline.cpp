@@ -22,6 +22,20 @@ std::size_t clamp_shards(std::size_t requested, std::size_t lanes) {
 
 }  // namespace
 
+std::optional<PushRecord> decode_record(const trace::TraceRecord& record,
+                                        util::Counters* counters) {
+  std::optional<net::Packet> packet = net::decode_packet(record.wire);
+  if (!packet) {
+    if (counters) counters->add(util::Metric::kTraceDecodeErrors);
+    return std::nullopt;
+  }
+  packet->delivered_by = record.delivered_by;
+  // The pipeline reuses this id rather than hashing the record again.
+  const std::uint64_t trace_id =
+      obs::ProvenanceCollector::global().admit(packet->report, packet->delivered_by);
+  return PushRecord{std::move(*packet), record.time_s(), trace_id};
+}
+
 Pipeline::Pipeline(sink::VerifierBank& bank, sink::TracebackEngine* traceback,
                    PipelineConfig cfg, util::Counters* counters)
     : traceback_(traceback),
@@ -29,7 +43,6 @@ Pipeline::Pipeline(sink::VerifierBank& bank, sink::TracebackEngine* traceback,
       counters_(counters ? counters : &bank.counters()),
       router_(clamp_shards(cfg.shards, bank.lanes())),
       queue_depth_(&counters_->registry().gauge("ingest_queue_depth")),
-      producers_gauge_(&counters_->registry().gauge("ingest_active_producers")),
       batch_fold_us_(&counters_->registry().histogram("ingest_batch_fold_us")),
       shard_imbalance_ppm_(
           &counters_->registry().histogram("ingest_shard_imbalance_ppm")),
@@ -157,20 +170,6 @@ void Pipeline::hand_off_batch(std::vector<FoldEntry> entries) {
 
 void Pipeline::close() {
   for (auto& q : queues_) q->close();
-}
-
-void Pipeline::attach_producer() {
-  std::size_t n = producers_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  producers_gauge_->set(static_cast<std::int64_t>(n));
-}
-
-void Pipeline::detach_producer() {
-  std::size_t n = producers_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  producers_gauge_->set(static_cast<std::int64_t>(n));
-}
-
-std::size_t Pipeline::active_producers() const {
-  return producers_.load(std::memory_order_acquire);
 }
 
 bool Pipeline::wait_quiescent(std::chrono::milliseconds timeout) {
@@ -431,16 +430,12 @@ PipelineStats Pipeline::run_from_trace(trace::TraceReader& reader) {
     while (auto outcome = reader.next()) {
       switch (outcome->status) {
         case trace::ReadStatus::kRecord: {
-          auto packet = net::decode_packet(outcome->record.wire);
-          if (!packet) {
+          auto record = decode_record(outcome->record, counters_);
+          if (!record) {
             ++stats_.decode_failures;
-            counters_->add(util::Metric::kTraceDecodeErrors);
             break;
           }
-          packet->delivered_by = outcome->record.delivered_by;
-          const std::uint64_t trace_id =
-              obs::ProvenanceCollector::global().admit(packet->report, packet->delivered_by);
-          batch.push_back(PushRecord{std::move(*packet), outcome->record.time_s(), trace_id});
+          batch.push_back(std::move(*record));
           if (batch.size() == cfg_.batch_size && !flush()) return;
           break;
         }

@@ -8,10 +8,10 @@
 //
 // Records enter through one call, push_batch: a file replay
 // (run_from_trace) and a serve session both decode a run of recorded
-// records and push them as one batch. The ShardRouter hashes each record's
-// flow identity (claimed origin location + previous hop) to a lane, and the
-// batch is stamped with consecutive global arrival sequence numbers. Each
-// lane independently drains FIFO batches through its own
+// records with decode_record and push them as one batch. The ShardRouter
+// hashes each record's flow identity (claimed origin location + previous
+// hop) to a lane, and the batch is stamped with consecutive global arrival
+// sequence numbers. Each lane independently drains FIFO batches through its own
 // sink::BatchVerifier handle (private PrfCache — flow affinity keeps a
 // flow's PRF probes hot in one cache) and pre-serializes each record's
 // digest fingerprint, then appends the whole batch to the hand-off under a
@@ -44,6 +44,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,6 +86,13 @@ struct PushRecord {
   /// unsampled.
   std::uint64_t trace_id = 0;
 };
+
+/// A recorded record as a producer pushes it: the decoded packet with its
+/// delivered_by, its time, and its admitted provenance id. A wire image
+/// net::decode_packet rejects yields nullopt and counts kTraceDecodeErrors
+/// into `counters` (when set).
+std::optional<PushRecord> decode_record(const trace::TraceRecord& record,
+                                        util::Counters* counters);
 
 /// Everything a pipeline run observed, for reporting and assertions.
 struct PipelineStats {
@@ -138,15 +146,6 @@ class Pipeline {
                          std::uint64_t first_stream_seq);
   /// Signal end of input; run() returns once every lane drains.
   void close();
-
-  // ---- session bookkeeping (the serve daemon's multi-producer seam) ----
-
-  /// Register/unregister a producer session. Purely advisory bookkeeping —
-  /// push_batch() is already multi-producer safe — but the daemon's drain logic
-  /// and the `ingest_active_producers` gauge key off it.
-  void attach_producer();
-  void detach_producer();
-  std::size_t active_producers() const;
 
   /// Arrival sequence numbers handed out so far.
   std::uint64_t seqs_issued() const {
@@ -228,7 +227,6 @@ class Pipeline {
   util::Counters* counters_;
   ShardRouter router_;
   obs::Gauge* queue_depth_;  ///< ingest_queue_depth (aggregate), per drain
-  obs::Gauge* producers_gauge_;           ///< ingest_active_producers
   std::vector<obs::Gauge*> lane_depth_;   ///< ingest_queue_depth_shard<i>
   obs::Histogram* batch_fold_us_;         ///< ingest_batch_fold_us
   obs::Histogram* shard_imbalance_ppm_;   ///< ingest_shard_imbalance_ppm
@@ -247,7 +245,6 @@ class Pipeline {
   std::vector<std::unique_ptr<BoundedQueue<Item>>> queues_;
   std::vector<std::size_t> lane_records_;  ///< written only by the owning lane
   std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::size_t> producers_{0};
   PipelineStats stats_;
 };
 

@@ -18,6 +18,8 @@ namespace pnm::serve {
 namespace {
 
 constexpr std::size_t kCoalesceBytes = 64 * 1024;
+/// The server only sends small control messages (Credit, Pong, ...).
+constexpr std::size_t kRecvWindow = 16 * 1024;
 
 /// A trace file pre-parsed for streaming: raw bytes, where its header ends,
 /// where each whole record frame ends, and the campaign id from the header.
@@ -70,19 +72,24 @@ std::uint64_t now_us() {
           .count());
 }
 
-/// Client-side connection state: socket + incremental parser + the credit
-/// balance and RTT samples the pump maintains.
+/// Client-side connection state: socket + incremental parser, and what the
+/// pump has received so far: credits, RTT samples, the HelloAck and Digest.
 struct Conn {
   Socket sock;
   MsgParser msgs;
   std::uint64_t credits = 0;
   std::vector<double> rtt_ms;
+  std::optional<HelloAck> ack;
+  std::optional<DigestReport> digest;
   std::string abort_reason;
   bool aborted = false;
   bool peer_closed = false;
 
-  void on_msg(const Msg& m, std::optional<DigestReport>* digest_out) {
+  void on_msg(const Msg& m) {
     switch (m.type) {
+      case MsgType::kHelloAck:
+        ack = decode_hello_ack(m.payload);
+        break;
       case MsgType::kCredit:
         if (auto n = decode_credit(m.payload)) credits += *n;
         break;
@@ -91,8 +98,7 @@ struct Conn {
           rtt_ms.push_back(static_cast<double>(now_us() - *token) / 1000.0);
         break;
       case MsgType::kDigest:
-        if (digest_out)
-          if (auto d = decode_digest(m.payload)) *digest_out = *d;
+        digest = decode_digest(m.payload);
         break;
       case MsgType::kAbort:
         aborted = true;
@@ -105,13 +111,12 @@ struct Conn {
 
   /// Drain whatever is readable. `block` waits for at least one byte.
   /// False on connection error/close.
-  bool pump(bool block, std::optional<DigestReport>* digest_out) {
-    std::uint8_t buf[16 * 1024];
-    bool first = true;
-    while (true) {
-      bool blocking_read = block && first;
-      long n = blocking_read ? sock.recv_some(buf, sizeof(buf))
-                             : sock.recv_nonblocking(buf, sizeof(buf));
+  bool pump(bool block) {
+    for (bool first = true;; first = false) {
+      const bool blocking_read = block && first;
+      std::span<std::uint8_t> window = msgs.space(kRecvWindow);
+      long n = blocking_read ? sock.recv_some(window.data(), window.size())
+                             : sock.recv_nonblocking(window.data(), window.size());
       if (n == 0) {
         peer_closed = true;
         return false;
@@ -120,9 +125,8 @@ struct Conn {
         if (!blocking_read && n == -1) return true;  // drained what was there
         return false;                                // hard socket error
       }
-      first = false;
-      msgs.feed(ByteView(buf, static_cast<std::size_t>(n)));
-      while (auto m = msgs.poll()) on_msg(*m, digest_out);
+      msgs.commit(static_cast<std::size_t>(n));
+      while (auto m = msgs.poll()) on_msg(*m);
       if (msgs.dead()) return false;
     }
   }
@@ -154,21 +158,11 @@ SessionResult run_session(const LoadgenConfig& cfg, const LoadedTrace& trace,
     return fail("send Hello");
 
   // Handshake: block until the ack (or an abort) arrives.
-  std::optional<HelloAck> ack;
-  while (!ack && !conn.aborted) {
-    std::uint8_t buf[4096];
-    long n = conn.sock.recv_some(buf, sizeof(buf));
-    if (n <= 0) return fail("connection closed during handshake");
-    conn.msgs.feed(ByteView(buf, static_cast<std::size_t>(n)));
-    while (auto m = conn.msgs.poll()) {
-      if (m->type == MsgType::kHelloAck)
-        ack = decode_hello_ack(m->payload);
-      else
-        conn.on_msg(*m, nullptr);
-    }
-  }
-  if (conn.aborted || !ack) return fail("handshake rejected");
-  conn.credits = ack->credit_window;
+  while (!conn.ack && !conn.aborted)
+    if (!conn.pump(true) && !conn.ack && !conn.aborted)
+      return fail("connection closed during handshake");
+  if (conn.aborted) return fail("handshake rejected");
+  conn.credits = conn.ack->credit_window;
 
   // Prologue + header frame carry no records and need no credit.
   if (!conn.sock.send_all(
@@ -180,10 +174,10 @@ SessionResult run_session(const LoadgenConfig& cfg, const LoadedTrace& trace,
   std::size_t since_ping = 0;
   std::size_t i = 0;
   while (i < frames) {
-    if (!conn.pump(false, nullptr) && (conn.aborted || conn.peer_closed))
+    if (!conn.pump(false) && (conn.aborted || conn.peer_closed))
       return fail("server closed mid-stream");
     if (conn.credits == 0) {
-      if (!conn.pump(true, nullptr)) return fail("waiting for credit");
+      if (!conn.pump(true)) return fail("waiting for credit");
       continue;
     }
     // Coalesce consecutive record frames up to the credit balance and the
@@ -216,19 +210,15 @@ SessionResult run_session(const LoadgenConfig& cfg, const LoadedTrace& trace,
   if (!conn.sock.send_all(encode_msg(MsgType::kEof, encode_eof(Eof{records_sent}))))
     return fail("send Eof");
 
-  std::optional<DigestReport> digest;
-  while (!digest && !conn.aborted) {
-    if (!conn.pump(true, &digest)) {
-      if (digest || conn.aborted) break;
+  while (!conn.digest && !conn.aborted)
+    if (!conn.pump(true) && !conn.digest && !conn.aborted)
       return fail("connection closed before Digest");
-    }
-  }
-  if (conn.aborted || !digest) return fail("no Digest receipt");
+  if (conn.aborted) return fail("no Digest receipt");
 
   result.ok = true;
-  result.records = digest->records;
-  result.marks = digest->marks;
-  result.digest_hex = digest->digest_hex;
+  result.records = conn.digest->records;
+  result.marks = conn.digest->marks;
+  result.digest_hex = conn.digest->digest_hex;
   {
     std::lock_guard<std::mutex> lock(*rtt_mu);
     rtt_sink->insert(rtt_sink->end(), conn.rtt_ms.begin(), conn.rtt_ms.end());

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
-#include <cstring>
+#include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace pnm::serve {
@@ -136,34 +137,34 @@ std::optional<DigestReport> decode_digest(ByteView payload) {
   return d;
 }
 
-void MsgParser::feed(ByteView chunk) {
-  if (dead_) return;
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+std::span<std::uint8_t> MsgParser::space(std::size_t n) {
+  if (buffer_.size() - tail_ < n && head_ > 0) {
+    // Reclaim the consumed prefix before growing the buffer.
+    std::copy(buffer_.begin() + static_cast<std::ptrdiff_t>(head_),
+              buffer_.begin() + static_cast<std::ptrdiff_t>(tail_), buffer_.begin());
+    tail_ -= head_;
+    head_ = 0;
+  }
+  if (buffer_.size() - tail_ < n) buffer_.resize(std::max(tail_ + n, 2 * buffer_.size()));
+  return std::span<std::uint8_t>(buffer_).subspan(tail_);
+}
+
+void MsgParser::commit(std::size_t k) {
+  assert(k <= buffer_.size() - tail_);
+  tail_ += k;
 }
 
 std::optional<Msg> MsgParser::poll() {
-  if (dead_) return std::nullopt;
-  std::size_t avail = buffer_.size() - head_;
-  if (avail < 5) return std::nullopt;
-  std::uint32_t len;
-  std::memcpy(&len, buffer_.data() + head_ + 1, sizeof(len));
+  if (dead_ || tail_ - head_ < 5) return std::nullopt;
+  const std::uint8_t* at = buffer_.data() + head_;
+  const std::uint32_t len = *ByteReader(ByteView(at + 1, 4)).u32();
   if (len > kMaxMsgBytes) {
     dead_ = true;
     return std::nullopt;
   }
-  if (avail < 5u + len) return std::nullopt;
-  Msg m;
-  m.type = static_cast<MsgType>(buffer_[head_]);
-  m.payload.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(head_ + 5),
-                   buffer_.begin() + static_cast<std::ptrdiff_t>(head_ + 5 + len));
+  if (tail_ - head_ < 5u + len) return std::nullopt;
   head_ += 5u + len;
-  // Reclaim consumed prefix once it dominates the buffer (same policy as
-  // trace::TraceStreamParser: amortized O(1), bounded slack).
-  if (head_ > 4096 && head_ * 2 > buffer_.size()) {
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  return m;
+  return Msg{static_cast<MsgType>(at[0]), ByteView(at + 5, len)};
 }
 
 }  // namespace pnm::serve

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "util/bytes.h"
@@ -63,9 +64,11 @@ enum class MsgType : std::uint8_t {
   kDigest = 9,
 };
 
+/// One framed message, as MsgParser::poll() yields it: `payload` views the
+/// parser's buffer and is valid until the parser's next space() call.
 struct Msg {
   MsgType type{};
-  Bytes payload;
+  ByteView payload;
 };
 
 /// Frame a message: type byte, length, payload.
@@ -114,21 +117,30 @@ struct DigestReport {
 Bytes encode_digest(const DigestReport& d);
 std::optional<DigestReport> decode_digest(ByteView payload);
 
-/// Incremental message framer: feed() arbitrary byte chunks, poll() complete
-/// messages. Mirrors trace::TraceStreamParser's contract — a message split
-/// across any read boundary reassembles identically.
+/// Incremental message framer over one buffer that the transport reads
+/// into: space(n) hands out a writable window at the buffer's tail, commit(k)
+/// accepts the k bytes recv() wrote there, and poll() yields the complete
+/// messages as views into the same buffer. A message split across any read
+/// boundary reassembles identically. Every view poll() returned stays valid
+/// until the next space(), which may move or reallocate the buffer.
 class MsgParser {
  public:
-  void feed(ByteView chunk);
-  /// Next complete message, if any. After dead() returns true (oversized
-  /// length prefix), poll() returns nullopt forever.
+  /// Writable window of at least `n` bytes at the buffer's tail. It may
+  /// reclaim the consumed prefix or grow the buffer, which invalidates every
+  /// Msg polled so far.
+  std::span<std::uint8_t> space(std::size_t n);
+  /// Accept the first `k` bytes of the window the last space() returned.
+  void commit(std::size_t k);
+  /// Next complete message, if any. After dead() returns true (a length
+  /// prefix over kMaxMsgBytes), poll() returns nullopt forever.
   std::optional<Msg> poll();
   bool dead() const { return dead_; }
-  std::size_t buffered() const { return buffer_.size() - head_; }
+  std::size_t buffered() const { return tail_ - head_; }
 
  private:
-  Bytes buffer_;
+  Bytes buffer_;           ///< [head_, tail_) unparsed, [tail_, size) window
   std::size_t head_ = 0;
+  std::size_t tail_ = 0;
   bool dead_ = false;
 };
 

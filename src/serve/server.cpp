@@ -175,19 +175,14 @@ void Server::spawn_session(Socket sock) {
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     session_fds_[id] = sock.fd();
+    sessions_active_->set(static_cast<std::int64_t>(session_fds_.size()));
   }
   session_threads_.spawn(
       [this, id](Socket s) {
         auto session = std::make_unique<Session>(std::move(s), *this, id);
         sessions_total_->add();
         sessions_served_.fetch_add(1, std::memory_order_relaxed);
-        pipeline_->attach_producer();
-        sessions_active_->set(
-            static_cast<std::int64_t>(pipeline_->active_producers()));
         session->run();
-        pipeline_->detach_producer();
-        sessions_active_->set(
-            static_cast<std::int64_t>(pipeline_->active_producers()));
         // Unregister while the Session (and its socket) is still alive:
         // the fd in session_fds_ is then always this session's own open
         // descriptor, so drain's forced ::shutdown can never hit a number
@@ -200,6 +195,7 @@ void Server::spawn_session(Socket sock) {
 void Server::unregister_session(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   session_fds_.erase(id);
+  sessions_active_->set(static_cast<std::int64_t>(session_fds_.size()));
   sessions_cv_.notify_all();
 }
 

@@ -9,14 +9,17 @@
 //   TCP 127.0.0.1:<port> ─┐ accept thread ┐               ┌ shard lanes ┐
 //   unix socket <path>   ─┘ (one each)    ├→ Session thread ┼ Pipeline  ┼→ merge
 //                                         │  per connection └───────────┘  thread
-//                                         │  (TraceStreamParser → one      → digest
+//                                         │  (recv → MsgParser buffer →    → digest
+//                                         │   TraceStreamParser → one
 //                                         │   push_batch per message)
 //   admin 127.0.0.1:<p>  ── accept thread ─→ handler thread per request:
 //                                            /metrics /healthz /drain /rekey ...
 //
 // Session and admin handler threads are each a TaskThreads set: a thread is
 // joined soon after its connection ends, so a daemon that has served
-// thousands of sessions holds only the live ones' stacks. Every session
+// thousands of sessions holds only the live ones' stacks. The live sessions
+// are counted once, as the socket map drain shuts down past its grace
+// period; the serve_sessions_active gauge reads its size. Every session
 // parses its byte stream with the framer file replay reads through and
 // pushes into the same pipeline, so the global verdict digest covers the
 // full interleaved arrival order while each session's StreamDigest covers
@@ -182,7 +185,9 @@ class Server {
   std::vector<std::thread> accept_threads_;
   std::mutex sessions_mu_;
   std::condition_variable sessions_cv_;
-  std::unordered_map<std::uint64_t, int> session_fds_;  ///< live sessions
+  /// Live sessions; serve_sessions_active is set from its size under
+  /// sessions_mu_.
+  std::unordered_map<std::uint64_t, int> session_fds_;
   TaskThreads session_threads_;
   std::atomic<std::uint64_t> next_session_id_{1};
   std::atomic<std::uint64_t> sessions_served_{0};

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "net/wire.h"
 #include "obs/flight.h"
 #include "obs/provenance.h"
 #include "serve/server.h"
@@ -10,7 +9,7 @@
 namespace pnm::serve {
 
 namespace {
-constexpr std::size_t kRecvChunk = 64 * 1024;
+constexpr std::size_t kRecvWindow = 64 * 1024;
 }  // namespace
 
 Session::Session(Socket sock, Server& server, std::uint64_t id)
@@ -21,9 +20,9 @@ Session::Session(Socket sock, Server& server, std::uint64_t id)
 }
 
 void Session::run() {
-  Bytes buf(kRecvChunk);
   while (!done_) {
-    long n = sock_.recv_some(buf.data(), buf.size());
+    std::span<std::uint8_t> window = msgs_.space(kRecvWindow);
+    long n = sock_.recv_some(window.data(), window.size());
     if (n <= 0) {
       // Peer vanished (or drain force-closed us) without Eof: whatever
       // records already went in stay in the global digest — they were
@@ -42,10 +41,10 @@ void Session::run() {
       return;
     }
     server_.note_session_bytes(static_cast<std::size_t>(n));
-    msgs_.feed(ByteView(buf.data(), static_cast<std::size_t>(n)));
+    msgs_.commit(static_cast<std::size_t>(n));
     std::optional<Msg> msg;
     while (!done_ && (msg = msgs_.poll())) {
-      if (!handle_msg(std::move(*msg))) return;
+      if (!handle_msg(*msg)) return;
     }
     if (msgs_.dead()) {
       abort_session("oversized protocol message");
@@ -54,7 +53,7 @@ void Session::run() {
   }
 }
 
-bool Session::handle_msg(Msg msg) {
+bool Session::handle_msg(const Msg& msg) {
   if (!hello_done_ && msg.type != MsgType::kHello) {
     abort_session("expected Hello");
     return false;
@@ -123,28 +122,18 @@ bool Session::drain_trace_frames() {
     switch (outcome->status) {
       case trace::ReadStatus::kRecord: {
         ++outcomes_;
-        ++credits_owed_;
-        auto packet = net::decode_packet(outcome->record.wire);
-        if (!packet) {
-          server_.counters()->add(util::Metric::kTraceDecodeErrors);
-          break;  // frame consumed, no stream seq — replay skips it too
-        }
-        packet->delivered_by = outcome->record.delivered_by;
+        auto record = ingest::decode_record(outcome->record, server_.counters());
+        if (!record) break;  // frame consumed, no stream seq — replay skips it too
         // Session ingress is the serve-side kDeliver: same content hash as
         // simulator delivery and replay, so sampling picks the same records.
-        // The pipeline reuses the id rather than hashing the record again.
-        const std::uint64_t trace_id =
-            obs::ProvenanceCollector::global().admit(packet->report, packet->delivered_by);
-        obs::prov_emit(trace_id, stream_seq_ + pending_.size(), obs::ProvStage::kDeliver,
-                       id_, packet->marks.size());
-        pending_.push_back(
-            ingest::PushRecord{std::move(*packet), outcome->record.time_s(), trace_id});
+        obs::prov_emit(record->trace_id, stream_seq_ + pending_.size(),
+                       obs::ProvStage::kDeliver, id_, record->packet.marks.size());
+        pending_.push_back(std::move(*record));
         break;
       }
       case trace::ReadStatus::kBadCrc:
       case trace::ReadStatus::kBadRecord:
         ++outcomes_;  // consumed a record frame, just a rotten one
-        ++credits_owed_;
         break;
       case trace::ReadStatus::kTruncated:
       case trace::ReadStatus::kOversized:
@@ -185,9 +174,9 @@ bool Session::check_campaign() {
 }
 
 void Session::flush_credits() {
-  if (credits_owed_ == 0) return;
-  std::uint32_t grant = static_cast<std::uint32_t>(credits_owed_);
-  credits_owed_ = 0;
+  if (outcomes_ == credits_granted_) return;
+  const auto grant = static_cast<std::uint32_t>(outcomes_ - credits_granted_);
+  credits_granted_ = outcomes_;
   send_msg(MsgType::kCredit, encode_credit(grant));
 }
 

@@ -2,14 +2,17 @@
 // accounting, incremental `.pnmtrace` reassembly, and the per-stream digest
 // receipt.
 //
-// A session is a thread blocked in recv(): bytes feed a MsgParser, data
-// messages feed a trace::TraceStreamParser, and the records decoded from one
-// TraceData message go into the shared ingest pipeline in one batch push,
-// tagged with this session's StreamDigest and consecutive per-stream
-// sequence numbers — so the client's digest folds in *its* stream order no
-// matter how the shard lanes interleave it with other sessions. On Eof the session blocks on the StreamDigest's record
-// barrier (every pushed record verified and folded) and answers with the
-// Digest receipt, which must equal `pnm replay` over the same trace.
+// A session is a thread blocked in recv(), which writes straight into its
+// MsgParser's buffer. Each message is handled as a view of that buffer: a
+// TraceData payload is copied once, into the session's
+// trace::TraceStreamParser, and the records decoded from one TraceData
+// message (ingest::decode_record) go into the shared ingest pipeline in one
+// batch push, tagged with this session's StreamDigest and consecutive
+// per-stream sequence numbers — so the client's digest folds in *its* stream
+// order no matter how the shard lanes interleave it with other sessions. On
+// Eof the session blocks on the StreamDigest's record barrier (every pushed
+// record verified and folded) and answers with the Digest receipt, which
+// must equal `pnm replay` over the same trace.
 //
 // Until its Hello arrives a session's receives have kHelloDeadline: a
 // connection that never speaks cannot hold drain for its grace period.
@@ -17,9 +20,10 @@
 // between traces is legal.
 //
 // Credits are replenished in record-frame units once a message's outcomes
-// are complete and its records pushed; every completed outcome counts —
-// pushed, CRC-rejected, malformed — so client and server debit/credit the
-// same event stream and cannot drift.
+// are complete and its records pushed: every completed outcome counts —
+// pushed, CRC-rejected, malformed — and a Credit grants all outcomes not yet
+// granted, so client and server debit/credit the same event stream and
+// cannot drift.
 #pragma once
 
 #include <chrono>
@@ -54,7 +58,7 @@ class Session {
 
  private:
   /// False = session over (clean or aborted).
-  bool handle_msg(Msg msg);
+  bool handle_msg(const Msg& msg);
   bool drain_trace_frames();
   /// Push the records decoded so far as one batch; aborts and returns false
   /// if the pipeline refused any (it closed: the sink is draining).
@@ -65,7 +69,7 @@ class Session {
   bool finish_and_report();
   bool send_msg(MsgType type, ByteView payload);
   void abort_session(const std::string& reason);
-  /// Grant every credit owed in one Credit message.
+  /// Grant every completed outcome not yet granted in one Credit message.
   void flush_credits();
 
   Socket sock_;
@@ -83,8 +87,8 @@ class Session {
   bool done_ = false;
   std::uint64_t stream_seq_ = 0;     ///< records pushed (the digest's domain)
   std::vector<ingest::PushRecord> pending_;  ///< decoded, not yet pushed
-  std::uint64_t outcomes_ = 0;       ///< completed record-frame outcomes
-  std::uint64_t credits_owed_ = 0;   ///< outcomes not yet replenished
+  std::uint64_t outcomes_ = 0;         ///< completed record-frame outcomes
+  std::uint64_t credits_granted_ = 0;  ///< outcomes replenished by Credit
 };
 
 }  // namespace pnm::serve

@@ -29,7 +29,6 @@
 #include "ingest/shard_router.h"
 #include "ingest/stream_digest.h"
 #include "net/report.h"
-#include "net/wire.h"
 #include "obs/provenance.h"
 #include "sink/order_matrix.h"
 #include "sink/traceback.h"
@@ -652,11 +651,9 @@ std::uint64_t push_stream(ingest::Pipeline& pipeline, const std::string& path,
   std::uint64_t stream_seq = 0;
   while (auto outcome = reader.next()) {
     if (outcome->status != trace::ReadStatus::kRecord) continue;
-    auto packet = net::decode_packet(outcome->record.wire);
-    if (!packet) continue;
-    packet->delivered_by = outcome->record.delivered_by;
-    ingest::PushRecord record{std::move(*packet), outcome->record.time_s()};
-    if (pipeline.push_batch(std::span(&record, 1), sink, stream_seq) != 1) break;
+    auto record = ingest::decode_record(outcome->record, nullptr);
+    if (!record) continue;
+    if (pipeline.push_batch(std::span(&*record, 1), sink, stream_seq) != 1) break;
     ++stream_seq;
   }
   return stream_seq;
@@ -674,10 +671,7 @@ TEST(Pipeline, StreamTaggedPushMatchesReplayDigest) {
     util::Counters counters;
     LiveStack stack(counters, shards);
     auto digest = std::make_shared<ingest::StreamDigest>();
-    stack.pipeline.attach_producer();
-    EXPECT_EQ(stack.pipeline.active_producers(), 1u);
     std::uint64_t pushed = push_stream(stack.pipeline, rc.path, digest);
-    stack.pipeline.detach_producer();
     EXPECT_FALSE(stack.pipeline.quiescent());  // records sit in the queues
     stack.pipeline.close();
     stack.pipeline.run();
@@ -690,7 +684,6 @@ TEST(Pipeline, StreamTaggedPushMatchesReplayDigest) {
     // Single client: the global arrival order is the stream order, so the
     // run digest coincides too.
     EXPECT_EQ(stack.pipeline.verdict_digest(), reference.verdict_digest);
-    EXPECT_EQ(stack.pipeline.active_producers(), 0u);
   }
 }
 
@@ -710,11 +703,8 @@ TEST(Pipeline, ConcurrentStreamTapsFoldIndependentDigests) {
   std::uint64_t pushed[2] = {0, 0};
   std::vector<std::thread> producers;
   for (int c = 0; c < 2; ++c) {
-    producers.emplace_back([&, c] {
-      stack.pipeline.attach_producer();
-      pushed[c] = push_stream(stack.pipeline, rc.path, digests[c]);
-      stack.pipeline.detach_producer();
-    });
+    producers.emplace_back(
+        [&, c] { pushed[c] = push_stream(stack.pipeline, rc.path, digests[c]); });
   }
   for (auto& t : producers) t.join();
   stack.pipeline.close();
@@ -827,10 +817,9 @@ TEST(MergeStage, PushRacingCloseStillReachesTheFrontier) {
     ASSERT_TRUE(reader.valid());
     while (auto outcome = reader.next()) {
       if (outcome->status != trace::ReadStatus::kRecord) continue;
-      auto packet = net::decode_packet(outcome->record.wire);
-      ASSERT_TRUE(packet);
-      packet->delivered_by = outcome->record.delivered_by;
-      packets.push_back(std::move(*packet));
+      auto record = ingest::decode_record(outcome->record, nullptr);
+      ASSERT_TRUE(record);
+      packets.push_back(std::move(record->packet));
     }
   }
   ASSERT_FALSE(packets.empty());
@@ -873,10 +862,9 @@ TEST(MergeStage, BatchPushRacingCloseStillReachesTheFrontier) {
     ASSERT_TRUE(reader.valid());
     while (auto outcome = reader.next()) {
       if (outcome->status != trace::ReadStatus::kRecord) continue;
-      auto packet = net::decode_packet(outcome->record.wire);
-      ASSERT_TRUE(packet);
-      packet->delivered_by = outcome->record.delivered_by;
-      packets.push_back(std::move(*packet));
+      auto record = ingest::decode_record(outcome->record, nullptr);
+      ASSERT_TRUE(record);
+      packets.push_back(std::move(record->packet));
     }
   }
   ASSERT_FALSE(packets.empty());

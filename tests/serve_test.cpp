@@ -6,7 +6,8 @@
 //   - graceful drain lets in-flight work complete and reports a global
 //     digest that matches replay when arrival order is a single stream;
 //   - live /rekey advances the key epoch without dropping a single record;
-//   - sessions for a different campaign are refused at the handshake;
+//   - sessions for a different campaign are refused at the handshake, and
+//     a malformed protocol message aborts only the session that sent it;
 //   - the admin plane only drains or re-keys on POST, and neither a silent
 //     admin client nor a stream of scrapes holds threads past their request;
 //   - a session connection that never sends a Hello cannot hold up drain.
@@ -25,8 +26,10 @@
 #include <future>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.h"
@@ -351,12 +354,91 @@ TEST(Serve, MetricsExposeServePlane) {
 
   std::string prom = server->metrics_prometheus();
   for (const char* name :
-       {"pnm_serve_sessions_total", "pnm_serve_records_total",
+       {"pnm_serve_sessions_total", "pnm_serve_sessions_active", "pnm_serve_records_total",
         "pnm_serve_bytes_rx_total", "pnm_serve_key_epoch",
         "pnm_ingest_records_total", "pnm_packets_verified_total"}) {
     EXPECT_NE(prom.find(name), std::string::npos) << name << "\n" << prom;
   }
+  // The session has ended once its Digest is in, but its thread may still be
+  // unwinding: the live-session gauge must settle at 0.
+  const obs::Gauge& active = server->counters()->registry().gauge("serve_sessions_active");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (active.value() != 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(active.value(), 0);
   server->drain();
+}
+
+/// Sends `stream` on a new session connection and returns the reason of the
+/// Abort the session answers with, or "" if it closes without one.
+std::string abort_reason_for(std::uint16_t port, ByteView stream) {
+  std::string error;
+  serve::Socket sock = serve::Socket::connect_tcp("127.0.0.1", port, &error);
+  if (!sock.valid()) {
+    ADD_FAILURE() << "connect failed: " << error;
+    return "";
+  }
+  EXPECT_TRUE(sock.send_all(stream));
+  serve::MsgParser msgs;
+  while (true) {
+    std::span<std::uint8_t> window = msgs.space(4096);
+    long n = sock.recv_some(window.data(), window.size());
+    if (n <= 0) return "";
+    msgs.commit(static_cast<std::size_t>(n));
+    while (auto m = msgs.poll())
+      if (m->type == serve::MsgType::kAbort)
+        return serve::decode_abort(m->payload).value_or("(unparseable abort)");
+  }
+}
+
+TEST(Serve, MalformedProtocolMessagesAbortOnlyTheirSession) {
+  const auto& fx = serve_fixture();
+  auto server = make_server({});
+  ASSERT_NE(server, nullptr);
+  const obs::Counter& aborts = server->counters()->registry().counter("serve_aborts");
+  const obs::Gauge& active = server->counters()->registry().gauge("serve_sessions_active");
+  const std::uint64_t aborts_before = aborts.value();
+
+  // A paced, well-behaved stream stays open while the bad sessions run.
+  serve::LoadgenConfig lg;
+  lg.port = server->tcp_port();
+  lg.traces = {fx.trace_a};
+  lg.pace_us = 1000;
+  auto good = std::async(std::launch::async, [&lg] { return serve::run_loadgen(lg); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (active.value() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  const Bytes hello = serve::encode_msg(
+      serve::MsgType::kHello, serve::encode_hello(serve::Hello{serve::kProtoVersion,
+                                                               server->campaign_id()}));
+  auto after_hello = [&hello](const Bytes& msg) {
+    Bytes stream = hello;
+    append(stream, msg);
+    return stream;
+  };
+  ByteWriter oversized;
+  oversized.u8(static_cast<std::uint8_t>(serve::MsgType::kTraceData));
+  oversized.u32(static_cast<std::uint32_t>(serve::kMaxMsgBytes + 1));
+  const std::pair<const char*, Bytes> cases[] = {
+      {"expected Hello", serve::encode_msg(serve::MsgType::kTraceData, Bytes{1, 2, 3})},
+      {"oversized protocol message", oversized.bytes()},
+      {"unexpected message type",
+       after_hello(serve::encode_msg(static_cast<serve::MsgType>(0xee), Bytes{}))},
+      {"malformed Eof",
+       after_hello(serve::encode_msg(serve::MsgType::kEof, Bytes{0, 0, 0}))},
+  };
+  for (const auto& [reason, stream] : cases)
+    EXPECT_EQ(abort_reason_for(server->tcp_port(), stream), reason);
+  EXPECT_EQ(aborts.value() - aborts_before, 4u);
+
+  serve::LoadgenStats stats = good.get();
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.session_results[0].digest_hex, fx.replay_a.verdict_digest);
+  EXPECT_EQ(aborts.value() - aborts_before, 4u);
+  serve::DrainReport report = server->drain();
+  EXPECT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.records, fx.replay_a.stats.records);
 }
 
 // Minimal HTTP/1.0 request against the admin plane: send the request line,

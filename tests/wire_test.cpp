@@ -1,10 +1,17 @@
 // Wire-codec tests: round trips, malformed-input rejection, and a mutation
-// sweep asserting the parser never misbehaves on attacker-controlled bytes.
+// sweep asserting the parser never misbehaves on attacker-controlled bytes —
+// for the packet codec and for the serve protocol's message framer.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "crypto/keys.h"
 #include "marking/scheme.h"
 #include "net/wire.h"
+#include "serve/protocol.h"
 #include "util/rng.h"
 
 namespace pnm::net {
@@ -139,3 +146,165 @@ TEST(Wire, DecodedPacketVerifiesLikeOriginal) {
 
 }  // namespace
 }  // namespace pnm::net
+
+namespace pnm::serve {
+namespace {
+
+using Polled = std::vector<std::pair<MsgType, Bytes>>;
+
+void append_msg(Bytes& stream, Polled& expected, MsgType type, const Bytes& payload) {
+  append(stream, encode_msg(type, payload));
+  expected.emplace_back(type, payload);
+}
+
+/// Feeds `stream` to `parser` the way a socket does — a space() window, the
+/// next piece copied into it, commit() — cut at each offset in `cuts`
+/// (ascending), polling after every piece. Payloads are copied out before the
+/// next space(), which may move them.
+Polled feed_in_pieces(MsgParser& parser, ByteView stream,
+                      const std::vector<std::size_t>& cuts) {
+  Polled out;
+  std::size_t from = 0;
+  for (std::size_t i = 0; i <= cuts.size(); ++i) {
+    const std::size_t to = i < cuts.size() ? cuts[i] : stream.size();
+    std::span<std::uint8_t> window = parser.space(to - from);
+    EXPECT_GE(window.size(), to - from);
+    std::copy(stream.begin() + static_cast<std::ptrdiff_t>(from),
+              stream.begin() + static_cast<std::ptrdiff_t>(to), window.begin());
+    parser.commit(to - from);
+    while (auto m = parser.poll())
+      out.emplace_back(m->type, Bytes(m->payload.begin(), m->payload.end()));
+    from = to;
+  }
+  return out;
+}
+
+Polled parse(ByteView stream, const std::vector<std::size_t>& cuts = {}) {
+  MsgParser parser;
+  Polled out = feed_in_pieces(parser, stream, cuts);
+  EXPECT_FALSE(parser.dead());
+  EXPECT_EQ(parser.buffered(), 0u);
+  return out;
+}
+
+/// Every message type with a payload its decoder accepts, and an empty one.
+Bytes every_type_stream(Polled& expected) {
+  Bytes s;
+  append_msg(s, expected, MsgType::kHello, encode_hello(Hello{kProtoVersion, "campaign"}));
+  append_msg(s, expected, MsgType::kHelloAck,
+             encode_hello_ack(HelloAck{kProtoVersion, 32, 1, "c"}));
+  append_msg(s, expected, MsgType::kTraceData, Bytes{0x50, 0x4e, 0x4d, 0x54, 1, 0});
+  append_msg(s, expected, MsgType::kTraceData, Bytes{});
+  append_msg(s, expected, MsgType::kPing, encode_token(0x0102030405060708ull));
+  append_msg(s, expected, MsgType::kPong, encode_token(7));
+  append_msg(s, expected, MsgType::kCredit, encode_credit(256));
+  append_msg(s, expected, MsgType::kEof, encode_eof(Eof{12}));
+  append_msg(s, expected, MsgType::kDigest, encode_digest(DigestReport{12, 30, "ab12"}));
+  append_msg(s, expected, MsgType::kAbort, encode_abort("bye"));
+  return s;
+}
+
+TEST(MsgParser, AnySplitOfTheStreamYieldsTheSameMessages) {
+  Polled expected;
+  const Bytes small = every_type_stream(expected);
+  EXPECT_EQ(parse(small), expected);
+  for (std::size_t cut = 1; cut < small.size(); ++cut)
+    ASSERT_EQ(parse(small, {cut}), expected) << "cut at " << cut;
+
+  // The same messages around a payload of exactly kMaxMsgBytes, the largest
+  // a peer may send.
+  Bytes big;
+  Polled big_expected;
+  for (const auto& [type, payload] : expected) append_msg(big, big_expected, type, payload);
+  const std::size_t max_at = big.size();
+  Bytes max_payload(kMaxMsgBytes);
+  for (std::size_t i = 0; i < max_payload.size(); ++i)
+    max_payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  append_msg(big, big_expected, MsgType::kTraceData, max_payload);
+  const std::size_t max_end = big.size();
+  for (const auto& [type, payload] : expected) append_msg(big, big_expected, type, payload);
+
+  EXPECT_EQ(parse(big), big_expected);
+  // One byte per commit cuts the stream at every offset at once.
+  std::vector<std::size_t> every(big.size() - 1);
+  for (std::size_t i = 0; i < every.size(); ++i) every[i] = i + 1;
+  EXPECT_EQ(parse(big, every), big_expected);
+  // Two pieces: at every offset outside the big payload's interior and near
+  // its edges, and on a stride through it (each such cut leaves the parser
+  // in the same state: a partial message awaiting the rest).
+  for (std::size_t cut = 1; cut < big.size(); ++cut) {
+    const bool interior = cut > max_at + 64 && cut + 64 < max_end;
+    if (interior && cut % 4099 != 0) continue;
+    ASSERT_EQ(parse(big, {cut}), big_expected) << "cut at " << cut;
+  }
+}
+
+TEST(MsgParser, ALengthOverTheCapKillsTheStream) {
+  Bytes stream = encode_msg(MsgType::kPing, encode_token(1));
+  ByteWriter bad;
+  bad.u8(static_cast<std::uint8_t>(MsgType::kTraceData));
+  bad.u32(static_cast<std::uint32_t>(kMaxMsgBytes + 1));
+  append(stream, bad.bytes());
+  append(stream, encode_msg(MsgType::kPing, encode_token(2)));
+
+  MsgParser parser;
+  Polled polled = feed_in_pieces(parser, stream, {});
+  ASSERT_EQ(polled.size(), 1u);
+  EXPECT_EQ(polled[0].first, MsgType::kPing);
+  EXPECT_TRUE(parser.dead());
+  // Nothing after the bad prefix is ever polled, whatever else arrives.
+  const Bytes later = encode_msg(MsgType::kEof, encode_eof(Eof{0}));
+  EXPECT_TRUE(feed_in_pieces(parser, later, {}).empty());
+  EXPECT_TRUE(parser.dead());
+}
+
+TEST(MsgParser, LengthPrefixIsLittleEndian) {
+  const Bytes stream = {static_cast<std::uint8_t>(MsgType::kTraceData), 3, 0, 0, 0,
+                        'a', 'b', 'c'};
+  EXPECT_EQ(parse(stream), (Polled{{MsgType::kTraceData, Bytes{'a', 'b', 'c'}}}));
+}
+
+TEST(MsgParser, EveryFlippedByteYieldsOnlyMessagesFramedByTheStream) {
+  Polled expected;
+  const Bytes stream = every_type_stream(expected);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    for (std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xff}}) {
+      Bytes mutated = stream;
+      mutated[i] ^= mask;
+      MsgParser parser;
+      const Polled polled = feed_in_pieces(parser, mutated, {i});
+      // Whatever the flip did, each polled message is the stream's own
+      // bytes, framed back to back from offset 0.
+      std::size_t at = 0;
+      for (const auto& [type, payload] : polled) {
+        ASSERT_LE(at + 5 + payload.size(), mutated.size()) << "flip at " << i;
+        EXPECT_EQ(static_cast<std::uint8_t>(type), mutated[at]);
+        EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                               mutated.begin() + static_cast<std::ptrdiff_t>(at + 5)));
+        at += 5 + payload.size();
+      }
+      EXPECT_EQ(parser.buffered(), mutated.size() - at) << "flip at " << i;
+    }
+  }
+}
+
+TEST(MsgParser, PolledViewsStayValidAcrossLaterPolls) {
+  Polled expected;
+  const Bytes stream = every_type_stream(expected);
+  MsgParser parser;
+  std::span<std::uint8_t> window = parser.space(stream.size());
+  std::copy(stream.begin(), stream.end(), window.begin());
+  parser.commit(stream.size());
+  std::vector<Msg> views;
+  while (auto m = parser.poll()) views.push_back(*m);
+  ASSERT_EQ(views.size(), expected.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(views[i].type, expected[i].first);
+    EXPECT_TRUE(std::equal(views[i].payload.begin(), views[i].payload.end(),
+                           expected[i].second.begin(), expected[i].second.end()))
+        << "message " << i;
+  }
+}
+
+}  // namespace
+}  // namespace pnm::serve

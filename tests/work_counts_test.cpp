@@ -31,7 +31,7 @@
 
 #include "analysis/models.h"
 #include "core/campaign.h"
-#include "net/wire.h"
+#include "ingest/pipeline.h"
 #include "sink/batch_verifier.h"
 #include "sink/scoped_verify.h"
 #include "trace/reader.h"
@@ -72,10 +72,8 @@ std::optional<Campaign> load(const std::string& name) {
   std::vector<net::Packet> packets;
   while (auto outcome = reader.next()) {
     if (outcome->status != trace::ReadStatus::kRecord) continue;
-    auto packet = net::decode_packet(outcome->record.wire);
-    if (!packet) continue;
-    packet->delivered_by = outcome->record.delivered_by;
-    packets.push_back(std::move(*packet));
+    auto record = ingest::decode_record(outcome->record, nullptr);
+    if (record) packets.push_back(std::move(record->packet));
   }
   return Campaign{std::move(*world), std::move(packets)};
 }

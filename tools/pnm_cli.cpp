@@ -87,11 +87,6 @@
 //                              (loadable in Perfetto / chrome://tracing)
 //   --metrics-every-ms N       also report a JSON metrics line to stderr
 //                              every N ms while the command runs
-//   --sha-backend B            pin the SHA-256 engine to one dispatch rung
-//                              (scalar|sse2|avx2|shani|avx512); same as
-//                              PNM_FORCE_SHA_BACKEND, flag wins. Verdicts
-//                              and digests are backend-independent — this
-//                              only changes speed.
 //   --provenance-rate N        sample 1-in-N records for provenance tracing
 //                              (0 = off, default 64). Sampling is a
 //                              deterministic content hash, so replays at any
@@ -116,7 +111,6 @@
 #include "core/campaign.h"
 #include "core/sweep.h"
 #include "net/campaign_runner.h"
-#include "crypto/sha256_multi.h"
 #include "ingest/replay.h"
 #include "obs/exposition.h"
 #include "obs/flight.h"
@@ -781,7 +775,6 @@ int main(int argc, char** argv) {
                  "replay|trace-stat|serve|loadgen|flight-dump|list> "
                  "[--flag value ...]\n"
                  "       [--metrics-out FILE] [--metrics-format json|prom]\n"
-                 "       [--sha-backend scalar|sse2|avx2|shani|avx512]\n"
                  "       [--span-trace FILE] [--metrics-every-ms N]\n"
                  "       [--provenance-rate N]\n",
                  argv[0]);
@@ -789,24 +782,6 @@ int main(int argc, char** argv) {
   }
   std::string cmd = argv[1];
   Args args = parse(argc, argv, 2);
-
-  std::string backend_name = args.str("sha-backend", "");
-  if (!backend_name.empty()) {
-    auto parsed = pnm::crypto::parse_sha_backend(backend_name);
-    if (!parsed) {
-      std::fprintf(stderr, "unknown --sha-backend '%s' (scalar|sse2|avx2|shani|avx512)\n",
-                   backend_name.c_str());
-      return 2;
-    }
-    if (!pnm::crypto::sha_backend_supported(*parsed)) {
-      std::fprintf(stderr,
-                   "--sha-backend %s not supported on this CPU; using %s\n",
-                   backend_name.c_str(),
-                   pnm::crypto::sha_backend_name(pnm::crypto::active_sha_backend()));
-    } else {
-      pnm::crypto::force_sha_backend(*parsed);
-    }
-  }
 
   std::string span_path = args.str("span-trace", "");
   if (!span_path.empty()) pnm::obs::SpanCollector::global().enable();

@@ -8,9 +8,10 @@
 #      then stream two damaged copies (a flipped record byte, a cut mid-frame)
 #      and require each receipt to equal `pnm replay` of the damaged file;
 #   3. scrape /metrics through scripts/check_prom.py (exposition lint) and
-#      check the serve-plane series are present, then scrape /spans and
-#      require valid Chrome trace-event JSON with verify-path spans (the
-#      daemon runs with --span-trace so collection is live);
+#      check the serve-plane series are present, then scrape /spans through
+#      scripts/check_spans.py: Chrome trace-event JSON with verify-path spans
+#      and provenance instants (the daemon runs with --span-trace so
+#      collection is live);
 #   4. POST /rekey to epoch 1, then stream one more session and require the sink
 #      to acknowledge every record under the new keys (zero drops);
 #   5. require GET /drain to be refused (405), POST /drain and require the final report to account for every record of
@@ -152,27 +153,7 @@ echo "metrics scrape ok ($(wc -l < "$workdir/metrics.prom") lines)"
 
 # --- 3b. /spans: span ring + provenance rings as one Chrome trace ------------
 admin /spans > "$workdir/spans_live.json"
-python3 - "$workdir/spans_live.json" <<'EOF'
-import json, sys
-trace = json.load(open(sys.argv[1]))
-events = trace["traceEvents"]
-assert events, "span ring empty despite --span-trace + ingest traffic"
-spans = [e for e in events if e["ph"] == "X"]
-prov = [e for e in events if e["ph"] == "i"]
-assert len(spans) + len(prov) == len(events), "unexpected event phase"
-names = {e["name"] for e in spans}
-assert "verify_batch" in names, f"no verify-path spans in {sorted(names)}"
-for e in spans:
-    assert e["dur"] >= 0, e
-# Default 1-in-64 sampling over 720 records: provenance instants must be
-# interleaved in the same stream (the unified export).
-assert prov, "no provenance instants in the merged /spans stream"
-for e in prov:
-    assert e["name"].startswith("prov:") and e["cat"] == "provenance", e
-    assert len(e["args"]["trace_id"]) == 16, e
-print(f"/spans ok: {len(spans)} spans over {len(names)} scopes "
-      f"+ {len(prov)} provenance instants")
-EOF
+python3 "$repo_root/scripts/check_spans.py" "$workdir/spans_live.json"
 
 # --- 4. live rekey, then a full session under the new epoch -----------------
 rekey_json="$(admin /rekey -X POST)"

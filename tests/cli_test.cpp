@@ -3,42 +3,18 @@
 // the tool the way a user does (subprocess + captured stdout).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdio>
 #include <string>
+#include <utility>
+
+#include "cli_runner.h"
 
 namespace {
 
-struct CliResult {
-  int exit_code = -1;
-  std::string out;
-};
-
-/// Run the tool with `args`; `env` (e.g. "NAME=value") prefixes the command.
-CliResult run_cli(const std::string& args, const std::string& env = "") {
-  // The test binary runs from build/tests; the tool lives in build/tools.
-  std::string cmd = env + (env.empty() ? "" : " ") + "../tools/pnm " + args + " 2>&1";
-  std::array<char, 4096> buf{};
-  CliResult result;
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (!pipe) return result;
-  while (std::fgets(buf.data(), buf.size(), pipe)) result.out += buf.data();
-  int status = pclose(pipe);
-  result.exit_code = WEXITSTATUS(status);
-  return result;
-}
-
-bool tool_available() {
-  FILE* f = std::fopen("../tools/pnm", "rb");
-  if (f) std::fclose(f);
-  return f != nullptr;
-}
-
-#define REQUIRE_TOOL() \
-  if (!tool_available()) GTEST_SKIP() << "pnm tool not built next to tests"
+using pnm::test::CliResult;
+using pnm::test::run_cli;
 
 TEST(Cli, ListEnumeratesSchemesAndAttacks) {
-  REQUIRE_TOOL();
   CliResult r = run_cli("list");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.out.find("pnm"), std::string::npos);
@@ -48,7 +24,6 @@ TEST(Cli, ListEnumeratesSchemesAndAttacks) {
 }
 
 TEST(Cli, ExperimentReportsVerdict) {
-  REQUIRE_TOOL();
   CliResult r = run_cli("experiment --forwarders 8 --packets 120 --seed 5");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.out.find("identified"), std::string::npos);
@@ -56,55 +31,71 @@ TEST(Cli, ExperimentReportsVerdict) {
 }
 
 TEST(Cli, ExperimentRenderDotEmitsGraphviz) {
-  REQUIRE_TOOL();
   CliResult r = run_cli("experiment --forwarders 6 --packets 80 --render dot");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.out.find("digraph traceback"), std::string::npos);
 }
 
 TEST(Cli, CampaignNeutralizesAttack) {
-  REQUIRE_TOOL();
   CliResult r = run_cli("campaign --forwarders 12 --attack source-only --seed 7");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.out.find("caught"), std::string::npos);
 }
 
 TEST(Cli, ModelPrintsClosedForms) {
-  REQUIRE_TOOL();
   CliResult r = run_cli("model --forwarders 20");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.out.find("90% full mark collection"), std::string::npos);
 }
 
 TEST(Cli, UnknownInputsFailCleanly) {
-  REQUIRE_TOOL();
   EXPECT_EQ(run_cli("frobnicate").exit_code, 2);
   EXPECT_EQ(run_cli("experiment --scheme nonsense").exit_code, 2);
   EXPECT_EQ(run_cli("experiment --attack nonsense").exit_code, 2);
   EXPECT_EQ(run_cli("").exit_code, 2);
 }
 
+TEST(Cli, UnknownOrMalformedFlagsAreRefused) {
+  // Each case names the flag at fault and exits 2 before any work is done;
+  // none may fall back to a default and run.
+  const std::string trace = std::string(PNM_CORPUS_DIR) + "/mark-removal.pnmtrace";
+  const std::pair<std::string, std::string> refused[] = {
+      {"replay --in " + trace + " --shard 4", "--shard"},  // typo of --shards
+      {"list --sha-backend scalar", "--sha-backend"},       // not a flag at all
+      {"replay --in " + trace + " --threads abc", "--threads"},
+      {"replay --in " + trace + " --threads 4x", "--threads"},
+      {"replay --in " + trace + " --threads -1", "--threads"},
+      {"replay --in " + trace + " --threads", "--threads"},  // no value
+      {"experiment --forwarders 6 --loss lots", "--loss"},
+      {"campaign --grid 4xq", "--grid"},
+      {"campaign --grid 4x0", "--grid"},  // an empty field
+      {"list --metrics-every-ms soon", "--metrics-every-ms"},
+  };
+  for (const auto& [args, flag] : refused) {
+    CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.out;
+    EXPECT_NE(r.out.find(flag), std::string::npos) << args << "\n" << r.out;
+  }
+  EXPECT_EQ(run_cli("replay " + trace).exit_code, 2);  // a bare word, not --in
+  // The observability flags are accepted on every command.
+  EXPECT_EQ(run_cli("list --provenance-rate 0 --metrics-format prom").exit_code, 0);
+  EXPECT_EQ(run_cli("model --forwarders 8 --metrics-every-ms 0").exit_code, 0);
+}
+
 TEST(Cli, ShaBackendGaugeReportsTheForcedRungBeforeAnyHashing) {
   // `list` hashes nothing, so the gauge holds whatever was registered at
   // startup: that must be the rung the env override picked, not the best
   // one the CPU supports.
-  REQUIRE_TOOL();
   const std::string out = ::testing::TempDir() + "/cli_backend_metrics.json";
   CliResult r = run_cli("list --metrics-out " + out, "PNM_FORCE_SHA_BACKEND=scalar");
   ASSERT_EQ(r.exit_code, 0) << r.out;
-  FILE* f = std::fopen(out.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string body;
-  std::array<char, 4096> buf{};
-  for (std::size_t n; (n = std::fread(buf.data(), 1, buf.size(), f)) > 0;)
-    body.append(buf.data(), n);
-  std::fclose(f);
+  const std::string body = pnm::test::read_file(out);
+  ASSERT_FALSE(body.empty());
   EXPECT_NE(body.find("\"sha256_backend\":0"), std::string::npos) << body;
   std::remove(out.c_str());
 }
 
 TEST(Cli, RecordReplayStatRoundTrip) {
-  REQUIRE_TOOL();
   std::string trace = ::testing::TempDir() + "/cli_roundtrip.pnmtrace";
 
   CliResult rec = run_cli("record --out " + trace +
@@ -146,17 +137,13 @@ TEST(Cli, RecordReplayStatRoundTrip) {
 }
 
 TEST(Cli, ReplayDigestIsDeterministicAcrossThreadCounts) {
-  REQUIRE_TOOL();
   std::string trace = ::testing::TempDir() + "/cli_digest.pnmtrace";
   ASSERT_EQ(run_cli("record --out " + trace +
                     " --forwarders 6 --packets 80 --seed 9 --attack mark-removal")
                 .exit_code,
             0);
   auto digest_of = [&](const std::string& extra) {
-    std::string out = run_cli("replay --in " + trace + " " + extra).out;
-    std::size_t at = out.find("verdict digest: ");
-    return at == std::string::npos ? std::string()
-                                   : out.substr(at + 16, 64);
+    return pnm::test::verdict_digest(run_cli("replay --in " + trace + " " + extra).out);
   };
   std::string serial = digest_of("--threads 1");
   ASSERT_EQ(serial.size(), 64u);
@@ -166,7 +153,6 @@ TEST(Cli, ReplayDigestIsDeterministicAcrossThreadCounts) {
 }
 
 TEST(Cli, TraceSubcommandsFailCleanlyOnBadInput) {
-  REQUIRE_TOOL();
   EXPECT_EQ(run_cli("record --forwarders 4").exit_code, 2);  // missing --out
   EXPECT_EQ(run_cli("replay").exit_code, 2);                 // missing --in
   EXPECT_EQ(run_cli("trace-stat").exit_code, 2);

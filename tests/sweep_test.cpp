@@ -53,18 +53,36 @@ core::SweepConfig small_sweep(std::size_t jobs) {
   return cfg;
 }
 
+/// What `pnm sweep --forwarders 6 --packets 40 --runs 2 --seed 9` runs: every
+/// attack (an empty list), two seeds each.
+core::SweepConfig every_attack_sweep(std::size_t jobs) {
+  core::SweepConfig cfg;
+  cfg.forwarders = 6;
+  cfg.packets = 40;
+  cfg.runs = 2;
+  cfg.seed = 9;
+  cfg.jobs = jobs;
+  return cfg;
+}
+
 TEST(SweepTest, ByteIdenticalAcrossJobCounts) {
-  core::SweepConfig c1 = small_sweep(1);
-  core::SweepConfig c4 = small_sweep(4);
-  core::SweepResult r1 = core::run_sweep(c1);
-  core::SweepResult r4 = core::run_sweep(c4);
-  ASSERT_EQ(r1.rows.size(), r4.rows.size());
-  for (std::size_t i = 0; i < r1.rows.size(); ++i) {
-    EXPECT_EQ(r1.rows[i].seed, r4.rows[i].seed);
-    EXPECT_EQ(r1.rows[i].digest, r4.rows[i].digest) << "row " << i;
+  // format_sweep is exactly what `pnm sweep` prints, so equal text here is
+  // equal tool output for any --jobs.
+  for (auto sweep : {small_sweep, every_attack_sweep}) {
+    core::SweepConfig c1 = sweep(1);
+    core::SweepResult r1 = core::run_sweep(c1);
+    for (std::size_t jobs : {4, 8}) {
+      core::SweepConfig cj = sweep(jobs);
+      core::SweepResult rj = core::run_sweep(cj);
+      ASSERT_EQ(r1.rows.size(), rj.rows.size()) << "jobs " << jobs;
+      for (std::size_t i = 0; i < r1.rows.size(); ++i) {
+        EXPECT_EQ(r1.rows[i].seed, rj.rows[i].seed);
+        EXPECT_EQ(r1.rows[i].digest, rj.rows[i].digest) << "jobs " << jobs << ", row " << i;
+      }
+      EXPECT_EQ(r1.sweep_digest, rj.sweep_digest) << "jobs " << jobs;
+      EXPECT_EQ(core::format_sweep(c1, r1), core::format_sweep(cj, rj)) << "jobs " << jobs;
+    }
   }
-  EXPECT_EQ(r1.sweep_digest, r4.sweep_digest);
-  EXPECT_EQ(core::format_sweep(c1, r1), core::format_sweep(c4, r4));
 }
 
 TEST(SweepTest, RowsFollowAttackThenRunOrder) {

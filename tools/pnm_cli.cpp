@@ -92,12 +92,17 @@
 //                              deterministic content hash, so replays at any
 //                              shard/thread count trace the same records.
 //
+// Every command refuses, with exit status 2, a flag it does not read, a flag
+// with no value after it, and a count that is not a whole number.
+//
 // `pnm replay --provenance-out FILE` writes the canonical provenance JSONL
 // (deterministic stages/fields, byte-identical across shard/thread configs);
 // `pnm serve --flight-dump FILE [--watchdog-ms N]` arms the anomaly watchdog
 // and fatal-signal flight dumps.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,6 +134,27 @@ namespace {
 
 using pnm::Table;
 
+/// Print one printf-formatted line to stderr and exit 2 (a bad command line).
+[[noreturn]] __attribute__((format(printf, 1, 2))) void usage_error(const char* fmt, ...) {
+  std::va_list ap;
+  va_start(ap, fmt);
+  std::vfprintf(stderr, fmt, ap);
+  va_end(ap);
+  std::fputc('\n', stderr);
+  std::exit(2);
+}
+
+/// `text` as a whole number; anything else (a sign, a fraction, trailing
+/// junk, an empty string, overflow) exits 2 naming `flag`.
+std::size_t count_or_exit(const std::string& flag, const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [at, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || at != end)
+    usage_error("--%s expects a whole number, got '%s'", flag.c_str(), text.c_str());
+  return value;
+}
+
 struct Args {
   std::map<std::string, std::string> kv;
   bool has(const std::string& k) const { return kv.count(k) != 0; }
@@ -138,44 +164,34 @@ struct Args {
   }
   std::size_t num(const std::string& k, std::size_t dflt) const {
     auto it = kv.find(k);
-    return it == kv.end() ? dflt
-                          : static_cast<std::size_t>(std::strtoull(it->second.c_str(),
-                                                                   nullptr, 10));
+    return it == kv.end() ? dflt : count_or_exit(k, it->second);
   }
   double real(const std::string& k, double dflt) const {
     auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    if (it == kv.end()) return dflt;
+    char* end = nullptr;
+    double value = std::strtod(it->second.c_str(), &end);
+    if (it->second.empty() || *end != '\0')
+      usage_error("--%s expects a number, got '%s'", k.c_str(), it->second.c_str());
+    return value;
   }
 };
-
-Args parse(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    const char* a = argv[i];
-    if (a[0] == '-' && a[1] == '-' && i + 1 < argc) {
-      args.kv[a + 2] = argv[++i];
-    }
-  }
-  return args;
-}
 
 bool write_file(const std::string& path, const std::string& content,
                 const char* what);
 
 pnm::marking::SchemeKind scheme_by_name(const std::string& name) {
   if (auto kind = pnm::marking::scheme_kind_by_name(name)) return *kind;
-  std::fprintf(stderr, "unknown scheme '%s' (try: pnm list)\n", name.c_str());
-  std::exit(2);
+  usage_error("unknown scheme '%s' (try: pnm list)", name.c_str());
 }
 
 pnm::attack::AttackKind attack_by_name(const std::string& name) {
   for (auto kind : pnm::attack::all_attack_kinds())
     if (name == pnm::attack::attack_kind_name(kind)) return kind;
-  std::fprintf(stderr, "unknown attack '%s' (try: pnm list)\n", name.c_str());
-  std::exit(2);
+  usage_error("unknown attack '%s' (try: pnm list)", name.c_str());
 }
 
-int cmd_list() {
+int cmd_list(const Args&) {
   std::printf("schemes:\n");
   for (auto kind : pnm::marking::all_scheme_kinds())
     std::printf("  %s\n", std::string(pnm::marking::scheme_kind_name(kind)).c_str());
@@ -254,11 +270,11 @@ int cmd_campaign(const Args& args) {
   if (!grid.empty()) {
     cfg.field = pnm::core::FieldKind::kGrid;
     std::size_t x = grid.find('x');
-    cfg.grid_width = static_cast<std::size_t>(std::strtoull(grid.c_str(), nullptr, 10));
-    cfg.grid_height = x == std::string::npos
-                          ? cfg.grid_width
-                          : static_cast<std::size_t>(
-                                std::strtoull(grid.c_str() + x + 1, nullptr, 10));
+    cfg.grid_width = count_or_exit("grid", grid.substr(0, x));
+    cfg.grid_height =
+        x == std::string::npos ? cfg.grid_width : count_or_exit("grid", grid.substr(x + 1));
+    if (cfg.grid_width == 0 || cfg.grid_height == 0)
+      usage_error("--grid needs both sides at least 1, got '%s'", grid.c_str());
   } else {
     cfg.field = pnm::core::FieldKind::kChain;
     cfg.forwarders = args.num("forwarders", 20);
@@ -507,8 +523,9 @@ int cmd_replay(const Args& args) {
 
   std::string prov_path = args.str("provenance-out", "");
   if (!prov_path.empty()) {
-    // Canonical JSONL: the deterministic view (CI byte-compares it across
-    // shard/thread matrices), not the timestamped runtime stream.
+    // Canonical JSONL: the deterministic view (tests/determinism_test.cpp
+    // byte-compares it across shard/thread matrices), not the timestamped
+    // runtime stream.
     if (!write_file(prov_path, pnm::obs::provenance_jsonl_canonical(),
                     "provenance JSONL"))
       return 1;
@@ -737,22 +754,68 @@ int cmd_flight_dump(const Args& args) {
   return 0;
 }
 
-int dispatch(const std::string& cmd, const Args& args) {
-  if (cmd == "list") return cmd_list();
-  if (cmd == "experiment") return cmd_experiment(args);
-  if (cmd == "campaign") return cmd_campaign(args);
-  if (cmd == "matrix") return cmd_matrix(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "model") return cmd_model(args);
-  if (cmd == "verify") return cmd_verify(args);
-  if (cmd == "record") return cmd_record(args);
-  if (cmd == "replay") return cmd_replay(args);
-  if (cmd == "trace-stat") return cmd_trace_stat(args);
-  if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "loadgen") return cmd_loadgen(args);
-  if (cmd == "flight-dump") return cmd_flight_dump(args);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 2;
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;  ///< what `run` reads, besides kGlobalFlags
+};
+
+/// The observability flags main() reads around every command.
+const std::vector<std::string> kGlobalFlags{"metrics-out", "metrics-format", "span-trace",
+                                            "metrics-every-ms", "provenance-rate"};
+
+const std::vector<Command>& commands() {
+  // chain_config_from() reads these for `experiment` and `record`.
+  auto chain = [](std::vector<std::string> more) {
+    more.insert(more.end(), {"forwarders", "packets", "offset", "loss", "seed", "scheme",
+                             "marks", "attack"});
+    return more;
+  };
+  static const std::vector<Command> table{
+      {"list", cmd_list, {}},
+      {"experiment", cmd_experiment, chain({"render"})},
+      {"campaign", cmd_campaign, {"grid", "forwarders", "attack", "budget", "seed"}},
+      {"matrix", cmd_matrix, {"forwarders", "packets", "jobs", "seed"}},
+      {"sweep",
+       cmd_sweep,
+       {"forwarders", "packets", "runs", "seed", "loss", "scheme", "marks", "jobs",
+        "attacks"}},
+      {"model", cmd_model, {"forwarders", "marks"}},
+      {"verify", cmd_verify, {"packets", "forwarders", "threads", "scoped", "marks", "seed"}},
+      {"record", cmd_record, chain({"out"})},
+      {"replay", cmd_replay, {"in", "threads", "shards", "scoped", "batch", "provenance-out"}},
+      {"trace-stat", cmd_trace_stat, {"in"}},
+      {"serve",
+       cmd_serve,
+       {"campaign", "port", "unix", "admin-port", "shards", "threads", "batch", "queue",
+        "credit-window", "scoped", "flight-dump", "watchdog-ms", "port-file"}},
+      {"loadgen",
+       cmd_loadgen,
+       {"host", "port", "unix", "connections", "repeat", "ping-every", "pace-us", "traces",
+        "json"}},
+      {"flight-dump", cmd_flight_dump, {"admin-port", "host", "out"}},
+  };
+  return table;
+}
+
+/// `--flag value` pairs after the command word. A flag `cmd` does not read,
+/// a flag with no value, or a bare word exits 2.
+Args parse(const Command& cmd, int argc, char** argv) {
+  auto known = [&](const std::string& flag) {
+    return std::count(cmd.flags.begin(), cmd.flags.end(), flag) != 0 ||
+           std::count(kGlobalFlags.begin(), kGlobalFlags.end(), flag) != 0;
+  };
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    std::string word = argv[i];
+    if (word.rfind("--", 0) != 0)
+      usage_error("%s: unexpected argument '%s'", cmd.name, word.c_str());
+    std::string flag = word.substr(2);
+    if (!known(flag)) usage_error("%s: unknown flag --%s", cmd.name, flag.c_str());
+    if (i + 1 == argc) usage_error("%s: --%s needs a value", cmd.name, flag.c_str());
+    args.kv[flag] = argv[++i];
+  }
+  return args;
 }
 
 bool write_file(const std::string& path, const std::string& content,
@@ -769,19 +832,22 @@ bool write_file(const std::string& path, const std::string& content,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <experiment|campaign|matrix|sweep|model|verify|record|"
-                 "replay|trace-stat|serve|loadgen|flight-dump|list> "
-                 "[--flag value ...]\n"
-                 "       [--metrics-out FILE] [--metrics-format json|prom]\n"
-                 "       [--span-trace FILE] [--metrics-every-ms N]\n"
-                 "       [--provenance-rate N]\n",
-                 argv[0]);
-    return 2;
+  const Command* cmd = nullptr;
+  std::string names;
+  for (const Command& c : commands()) {
+    if (argc > 1 && c.name == std::string(argv[1])) cmd = &c;
+    names += names.empty() ? "" : "|";
+    names += c.name;
   }
-  std::string cmd = argv[1];
-  Args args = parse(argc, argv, 2);
+  if (!cmd) {
+    if (argc > 1) std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+    usage_error("usage: pnm <%s> [--flag value ...]", names.c_str());
+  }
+  Args args = parse(*cmd, argc, argv);
+
+  std::string format = args.str("metrics-format", "json");
+  if (format != "json" && format != "prom")
+    usage_error("unknown --metrics-format '%s' (json|prom)", format.c_str());
 
   std::string span_path = args.str("span-trace", "");
   if (!span_path.empty()) pnm::obs::SpanCollector::global().enable();
@@ -800,17 +866,11 @@ int main(int argc, char** argv) {
         });
   }
 
-  int rc = dispatch(cmd, args);
+  int rc = cmd->run(args);
   reporter.reset();  // final scrape before the file exports below
 
   std::string metrics_path = args.str("metrics-out", "");
   if (!metrics_path.empty()) {
-    std::string format = args.str("metrics-format", "json");
-    if (format != "json" && format != "prom") {
-      std::fprintf(stderr, "unknown --metrics-format '%s' (json|prom)\n",
-                   format.c_str());
-      return 2;
-    }
     auto snap = pnm::obs::MetricsRegistry::global().scrape();
     std::string body = format == "prom" ? pnm::obs::to_prometheus(snap)
                                         : pnm::obs::to_json(snap) + "\n";

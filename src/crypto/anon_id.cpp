@@ -13,14 +13,6 @@ namespace pnm::crypto {
 
 namespace {
 
-Bytes anon_id_input(ByteView original_message, NodeId real_id) {
-  ByteWriter w;
-  w.u8(0xA1);  // domain separation: anonymous-ID PRF, never a marking MAC
-  w.blob16(original_message);
-  w.u16(real_id);
-  return w.bytes();
-}
-
 /// Write `report`'s padded PRF inner message — [0xA1][len16 LE][report]
 /// [id16 LE], then padding whose bit length counts the ipad block — into
 /// `slot` (sha256_padded_blocks(5 + |report|) * 64 bytes) with both id bytes
@@ -114,14 +106,24 @@ std::size_t sweep_fused(const KeyStore& keys, ByteView report, std::span<const N
 
 Bytes anon_id(ByteView node_key, ByteView original_message, NodeId real_id,
               std::size_t anon_len) {
-  assert(anon_len >= 1 && anon_len <= kSha256DigestSize);
-  return truncated_mac(node_key, anon_id_input(original_message, real_id), anon_len);
+  return anon_id(HmacKey(node_key), original_message, real_id, anon_len);
 }
 
 Bytes anon_id(const HmacKey& node_key, ByteView original_message, NodeId real_id,
               std::size_t anon_len) {
   assert(anon_len >= 1 && anon_len <= kSha256DigestSize);
-  return truncated_mac(node_key, anon_id_input(original_message, real_id), anon_len);
+  // One lane of sweep_blocks: the padded template in per-thread scratch with
+  // this id patched in, so only the returned ID allocates.
+  thread_local Bytes slot;
+  const std::size_t len = 5 + original_message.size();
+  slot.resize(sha256_padded_blocks(len) * 64);
+  const std::size_t nb = build_template(slot.data(), original_message);
+  slot[len - 2] = static_cast<std::uint8_t>(real_id);
+  slot[len - 1] = static_cast<std::uint8_t>(real_id >> 8);
+  const HmacPaddedJob job{&node_key, slot.data(), nb};
+  Sha256Digest full;
+  hmac_batch_padded({&job, 1}, &full);
+  return Bytes(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(anon_len));
 }
 
 void anon_id_batch(const KeyStore& keys, ByteView report, std::span<const NodeId> ids,

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 
+#include "crypto/hmac.h"
 #include "net/report.h"
 #include "util/bytes.h"
 
@@ -23,6 +24,19 @@ Bytes message_prefix(const net::Packet& p, std::size_t mark_count);
 /// The nested-MAC input "M_{i-1} | i": the message prefix followed by the
 /// identity field the marking node is about to write.
 Bytes nested_mac_input(const net::Packet& p, std::size_t mark_count, ByteView id_field);
+
+/// nested_mac_input's bytes written into `out` (resized to fit): a caller's
+/// reused buffer keeps its capacity from packet to packet.
+void write_nested_mac_input(const net::Packet& p, std::size_t mark_count, ByteView id_field,
+                            Bytes& out);
+
+/// The nested MAC every nested-family scheme writes: `key`'s HMAC over
+/// nested_mac_input(p, mark_count, id_field), truncated to mac_len bytes.
+/// The input is built and padded in per-thread scratch, so only the
+/// returned MAC allocates; bit-identical to crypto::truncated_mac(key,
+/// nested_mac_input(p, mark_count, id_field), mac_len).
+Bytes nested_mac(const crypto::HmacKey& key, const net::Packet& p, std::size_t mark_count,
+                 ByteView id_field, std::size_t mac_len);
 
 /// The extended-AMS MAC input: only the original report and the claimed ID
 /// (deliberately weaker — each mark stands alone, which is what §3 exploits).

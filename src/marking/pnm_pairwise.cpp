@@ -33,19 +33,18 @@ void PnmPairwise::mark(net::Packet& p, NodeId self, ByteView key, Rng& rng) cons
 
 net::Mark PnmPairwise::make_mark(const net::Packet& p, NodeId claimed, ByteView key,
                                  Rng& rng) const {
-  Bytes anon = anon_part(p.report, claimed, key);
-  Bytes id_field = anon;
+  Bytes id_field = anon_part(p.report, claimed, key);
   if (p.arrived_from != kInvalidNode) {
-    append(id_field, claim_tag(p.report, anon, claimed, p.arrived_from));
+    // The tag covers the anonymous ID, which is all id_field holds so far.
+    append(id_field, claim_tag(p.report, id_field, claimed, p.arrived_from));
   } else {
     // No radio-layer previous hop (origin-forged mark): the tag cannot be
     // grounded in any pairwise key, so it is necessarily junk.
     for (std::size_t i = 0; i < claim_len_; ++i)
       id_field.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
   }
-  Bytes mac = crypto::truncated_mac(crypto::cached_hmac_key(key),
-                                    nested_mac_input(p, p.marks.size(), id_field),
-                                    cfg_.mac_len);
+  Bytes mac = nested_mac(crypto::cached_hmac_key(key), p, p.marks.size(), id_field,
+                         cfg_.mac_len);
   return net::Mark{std::move(id_field), std::move(mac)};
 }
 

@@ -1,5 +1,6 @@
 #include "marking/pnm_scheme.h"
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -23,15 +24,14 @@ net::Mark PnmScheme::make_mark(const net::Packet& p, NodeId claimed, ByteView ke
   // must be able to precompute one table per report that resolves every
   // mark in the packet, regardless of how many marks precede each.
   //
-  // Both hashes run through the node's memoized key schedule and the
-  // multi-buffer engine (campaign simulations re-mark under the same few
-  // thousand node keys millions of times); output is bit-identical to the
-  // raw-key path and no Rng is consulted, so scenario goldens are unaffected.
+  // Both hashes run through the node's memoized key schedule and build
+  // their inputs in per-thread scratch (campaign simulations re-mark under
+  // the same few thousand node keys millions of times), so only the mark's
+  // two fields allocate. Output is bit-identical to the raw-key path and no
+  // Rng is consulted, so scenario goldens are unaffected.
   const crypto::HmacKey& schedule = crypto::cached_hmac_key(key);
   Bytes id_field = crypto::anon_id(schedule, p.report, claimed, cfg_.anon_len);
-  Bytes mac = crypto::truncated_mac(schedule,
-                                    nested_mac_input(p, p.marks.size(), id_field),
-                                    cfg_.mac_len);
+  Bytes mac = nested_mac(schedule, p, p.marks.size(), id_field, cfg_.mac_len);
   return net::Mark{std::move(id_field), std::move(mac)};
 }
 
@@ -104,18 +104,20 @@ VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& key
   // swept prefix cost no PRFs; an invalid mark sweeps every node before it
   // is declared invalid.
   thread_local std::vector<NodeId> candidates;
+  thread_local Bytes input;  // nested MAC input, built on a mark's first candidate
   const std::size_t chunk = sweep_chunk();
   std::size_t prf_evals = 0;
   for (std::size_t j = p.marks.size(); j-- > 0;) {
     const net::Mark& m = p.marks[j];
     NodeId resolved = kInvalidNode;
-    Bytes input;  // nested MAC input, built on the first candidate
+    bool built = false;
     for (std::size_t scanned = 0;;) {
       candidates.clear();
       table.collect(m.id_field, scanned, candidates);
       scanned = table.size();
       if (!candidates.empty()) {
-        if (input.empty()) input = nested_mac_input(p, j, m.id_field);
+        if (!built) write_nested_mac_input(p, j, m.id_field, input);
+        built = true;
         resolved = first_verifying(candidates, keys, input, m.mac, metrics);
         if (resolved != kInvalidNode) break;
       }
@@ -128,8 +130,9 @@ VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& key
       out.truncated_by_invalid = true;
       break;
     }
-    out.chain.insert(out.chain.begin(), VerifiedMark{resolved, j});
+    out.chain.push_back(VerifiedMark{resolved, j});
   }
+  std::reverse(out.chain.begin(), out.chain.end());  // walked last to first
   if (prf_evals > 0) metrics.add(util::Metric::kPrfEvals, prf_evals);
   return out;
 }

@@ -22,7 +22,17 @@ void CalendarQueue::refill_bottom() {
     if (idx < kBuckets) {
       cur_slot_ = idx + 1;
       bottom_hi_ = cur_slot_ >= kBuckets ? span_hi_ : span_lo_ + cur_slot_ * width_;
-      bottom_.swap(buckets_[idx]);  // capacities circulate between tiers
+      // Move the slot's list into bottom_ and hand its nodes to the free
+      // list whole: the last node links to the old free head.
+      std::uint32_t n = heads_[idx];
+      for (;;) {
+        bottom_.push_back(nodes_[n].ev);
+        if (nodes_[n].next == kNoSlot) break;
+        n = nodes_[n].next;
+      }
+      nodes_[n].next = free_;
+      free_ = heads_[idx];
+      heads_[idx] = kNoSlot;
       occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
       if (bottom_.size() > 1) std::sort(bottom_.begin(), bottom_.end(), later);
       return;
@@ -32,8 +42,14 @@ void CalendarQueue::refill_bottom() {
 }
 
 void CalendarQueue::respan() {
-  // Calendar exhausted: rebuild the span around overflow_'s actual time
-  // range so the bucket width adapts to event density.
+  // Calendar exhausted, so every queued event is in overflow_: rebuild the
+  // span from its time range and its count. Spreading n events over all
+  // kBuckets slots would leave each slot about one event and the span no
+  // wider than the events already queued, so every later push would
+  // overflow and the calendar re-span every few dozen pops; at least
+  // 2 * range / n per slot keeps about two events in each, and gives n
+  // events in flight a span 1024 / n times their range (about 50 for a
+  // campaign's twenty).
   assert(!overflow_.empty());
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
@@ -41,7 +57,9 @@ void CalendarQueue::respan() {
     lo = std::min(lo, ev.time);
     hi = std::max(hi, ev.time);
   }
-  double w = (hi - lo) / static_cast<double>(kBuckets - 1);
+  const double range = hi - lo;
+  double w = std::max(range / static_cast<double>(kBuckets - 1),
+                      2.0 * range / static_cast<double>(overflow_.size()));
   // Strictly positive width floor (absolute + relative) so span_hi_ > lo and
   // at least the earliest overflow events always land in the new calendar —
   // degenerate same-time clusters collapse into bucket 0.

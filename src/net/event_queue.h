@@ -19,12 +19,20 @@
 // Queue structure (tiers, earliest first):
 //   bottom_   sorted vector (descending, pop from the back = O(1) min),
 //             holds every queued event with time < bottom_hi_
-//   buckets_  kBuckets calendar slots of width_ seconds spanning
+//   buckets   kBuckets calendar slots of width_ seconds spanning
 //             [span_lo_, span_hi_); slot cur_slot_ is the next to drain and
 //             bottom_hi_ == span_lo_ + cur_slot_ * width_; a 512-bit
-//             occupancy mask lets the drain skip empty slots in one step
-//   overflow_ unsorted, time >= span_hi_; re-spanned (adaptive width from
-//             the actual min/max) when the calendar is exhausted
+//             occupancy mask lets the drain skip empty slots in one step.
+//             Each slot is an unsorted singly linked list (heads_) through
+//             one pooled node array (nodes_, with a free list), so a queue
+//             costs a handful of growing allocations, not one per slot
+//   overflow_ unsorted, time >= span_hi_; re-spanned when the calendar is
+//             exhausted. The width is sized to the events in flight:
+//             max(range / (kBuckets - 1), 2 * range / n) for n overflow
+//             events over `range` seconds, so a sparse load (a campaign's
+//             twenty or so events) gets about two events per slot and a
+//             span far wider than its current events, which later pushes
+//             land in instead of overflowing and re-spanning
 //
 // The tiers are separated by strict time thresholds, so the order tiebreak
 // never crosses a tier boundary; within a tier events are sorted exactly.
@@ -113,7 +121,7 @@ struct EventRef {
 
 class CalendarQueue {
  public:
-  CalendarQueue() : buckets_(kBuckets) {}
+  CalendarQueue() { heads_.fill(kNoSlot); }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -155,8 +163,23 @@ class CalendarQueue {
     return x.time > y.time || (x.time == y.time && x.order > y.order);
   }
 
+  /// A calendar slot's list node; `next` links the slot's list or, once
+  /// drained, the free list.
+  struct Node {
+    EventRef ev;
+    std::uint32_t next;
+  };
+
   void push_bucket(std::size_t idx, const EventRef& ev) {
-    buckets_[idx].push_back(ev);
+    std::uint32_t n = free_;
+    if (n != kNoSlot) {
+      free_ = nodes_[n].next;
+      nodes_[n] = {ev, heads_[idx]};
+    } else {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back({ev, heads_[idx]});
+    }
+    heads_[idx] = n;
     occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
   }
   /// The first non-empty bucket at or after `from`, or kBuckets.
@@ -166,10 +189,11 @@ class CalendarQueue {
   void respan();
 
   std::vector<EventRef> bottom_;
-  std::vector<std::vector<EventRef>> buckets_;
-  /// Bit i set iff buckets_[i] is non-empty: the in-flight set is often a
-  /// few dozen events over kBuckets slots, so the drain jumps straight to
-  /// the next occupied bucket instead of stepping through empty ones.
+  std::vector<Node> nodes_;                    ///< every slot's list nodes
+  std::uint32_t free_ = kNoSlot;               ///< drained nodes, reused first
+  std::array<std::uint32_t, kBuckets> heads_;  ///< slot i's list, or kNoSlot
+  /// Bit i set iff slot i is non-empty: the drain jumps straight to the
+  /// next occupied slot instead of stepping through empty ones.
   std::array<std::uint64_t, kBuckets / 64> occupied_{};
   std::vector<EventRef> overflow_;
   std::vector<EventRef> respan_keep_;  ///< respan()'s scratch, capacity reused

@@ -3,12 +3,17 @@
 namespace pnm::net {
 
 Bytes Report::encode() const {
-  ByteWriter w;
-  w.u32(event);
-  w.u16(loc_x);
-  w.u16(loc_y);
-  w.u64(timestamp);
-  return std::move(w).take();
+  // u32 event, u16 loc_x, u16 loc_y, u64 timestamp, little-endian, in one
+  // exact-size buffer.
+  Bytes out(16);
+  auto put = [&out](std::size_t at, std::uint64_t v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put(0, event, 4);
+  put(4, loc_x, 2);
+  put(6, loc_y, 2);
+  put(8, timestamp, 8);
+  return out;
 }
 
 std::optional<Report> Report::decode(ByteView data) {

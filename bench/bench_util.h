@@ -3,12 +3,14 @@
 // output (ASCII table to stdout, optional CSV).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "util/stats.h"
 #include "util/table.h"
 
 namespace pnm::bench {
@@ -37,6 +39,13 @@ inline BenchArgs parse_args(int argc, char** argv) {
     }
   }
   return args;
+}
+
+/// Half-width of the normal-approximation 95% interval of `a`'s mean:
+/// 1.96 standard errors (0 below two samples).
+inline double ci95(const Accumulator& a) {
+  if (a.count() < 2) return 0.0;
+  return 1.96 * a.stddev() / std::sqrt(static_cast<double>(a.count()));
 }
 
 inline void emit(const Table& table, const BenchArgs& args) {

@@ -21,8 +21,10 @@ int main(int argc, char** argv) {
   const std::size_t lengths[] = {10, 20, 30};
   const std::size_t max_packets = 60;
 
-  // coverage[cfg][x] = sum over runs of (# markers seen after x packets).
-  std::vector<std::vector<double>> coverage(3, std::vector<double>(max_packets + 1, 0.0));
+  // coverage[cfg][x] accumulates, run by run, the # markers seen after x
+  // packets: its mean and its 95% interval.
+  std::vector<std::vector<pnm::Accumulator>> coverage(
+      3, std::vector<pnm::Accumulator>(max_packets + 1));
 
   // Runs are independent simulations; fan them across --jobs workers and
   // accumulate in run order so the sums are byte-identical for any J.
@@ -50,35 +52,36 @@ int main(int argc, char** argv) {
         runner.run_all<std::vector<std::size_t>>(runs, one_run);
     for (const std::vector<std::size_t>& per_packet : per_run)
       for (std::size_t x = 1; x <= max_packets; ++x)
-        coverage[li][x] += static_cast<double>(per_packet[x]);
+        coverage[li][x].add(static_cast<double>(per_packet[x]));
   }
 
-  Table t({"packets(x)", "%nodes n=10", "%nodes n=20", "%nodes n=30"});
+  Table t({"packets(x)", "%nodes n=10", "±95% n=10", "%nodes n=20", "±95% n=20",
+           "%nodes n=30", "±95% n=30"});
   t.set_title("Fig. 5 — avg % of nodes whose marks are collected in first x packets (" +
-              std::to_string(runs) + " runs, np=3)");
+              std::to_string(runs) + " runs, np=3; ±95% = 1.96 standard errors)");
   for (std::size_t x = 1; x <= max_packets; ++x) {
     std::vector<std::string> row{Table::num(x)};
     for (std::size_t li = 0; li < 3; ++li) {
-      double pct = 100.0 * coverage[li][x] /
-                   (static_cast<double>(runs) * static_cast<double>(lengths[li]));
-      row.push_back(Table::num(pct, 2));
+      const double to_pct = 100.0 / static_cast<double>(lengths[li]);
+      row.push_back(Table::num(to_pct * coverage[li][x].mean(), 2));
+      row.push_back(Table::num(to_pct * pnm::bench::ci95(coverage[li][x]), 2));
     }
     t.add_row(std::move(row));
   }
   pnm::bench::emit(t, args);
 
-  Table anchors({"metric", "measured", "paper"});
+  Table anchors({"metric", "measured", "±95%", "paper"});
   anchors.set_title("Fig. 5 anchors");
-  double n10_at7 = coverage[0][7] / static_cast<double>(runs);
-  anchors.add_row({"nodes collected, n=10, 7 packets", Table::num(n10_at7, 2), "~9"});
+  anchors.add_row({"nodes collected, n=10, 7 packets", Table::num(coverage[0][7].mean(), 2),
+                   Table::num(pnm::bench::ci95(coverage[0][7]), 2), "~9"});
   auto first_x_at = [&](std::size_t li, double frac) -> std::size_t {
-    double target = frac * static_cast<double>(lengths[li]) * static_cast<double>(runs);
+    double target = frac * static_cast<double>(lengths[li]);
     for (std::size_t x = 1; x <= max_packets; ++x)
-      if (coverage[li][x] >= target) return x;
+      if (coverage[li][x].mean() >= target) return x;
     return max_packets;
   };
-  anchors.add_row({"packets to 90% coverage, n=20", Table::num(first_x_at(1, 0.9)), "~14"});
-  anchors.add_row({"packets to 90% coverage, n=30", Table::num(first_x_at(2, 0.9)), "~22"});
+  anchors.add_row({"packets to 90% coverage, n=20", Table::num(first_x_at(1, 0.9)), "-", "~14"});
+  anchors.add_row({"packets to 90% coverage, n=30", Table::num(first_x_at(2, 0.9)), "-", "~22"});
   pnm::bench::emit(anchors, args);
   return 0;
 }

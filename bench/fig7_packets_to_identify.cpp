@@ -18,10 +18,11 @@ int main(int argc, char** argv) {
   // Paper averages 5000 runs; the default trades a little smoothness for time.
   std::size_t runs = args.runs ? args.runs : 300;
 
-  Table t({"path length", "avg packets to identify", "p50", "p90", "identified runs",
+  Table t({"path length", "avg packets to identify", "±95%", "p50", "p90", "identified runs",
            "E[1/p^2] (pair bound)"});
   t.set_title("Fig. 7 — avg packets to unequivocally identify the source (800 pkts/run, " +
-              std::to_string(runs) + " runs)");
+              std::to_string(runs) + " runs; averaged over identified runs only; ±95% = "
+              "1.96 standard errors)");
 
   // Fan independent runs across --jobs workers; samples are added in run
   // order, so every statistic is identical for any J.
@@ -41,11 +42,16 @@ int main(int argc, char** argv) {
     std::vector<std::optional<double>> per_run =
         runner.run_all<std::optional<double>>(runs, one_run);
     pnm::SampleSet samples;
-    for (const std::optional<double>& s : per_run)
-      if (s) samples.add(*s);
+    pnm::Accumulator acc;
+    for (const std::optional<double>& s : per_run) {
+      if (!s) continue;
+      samples.add(*s);
+      acc.add(*s);
+    }
     double p = 3.0 / static_cast<double>(n);
     t.add_row({Table::num(n), Table::num(samples.mean(), 1),
-               Table::num(samples.median(), 1), Table::num(samples.percentile(0.9), 1),
+               Table::num(pnm::bench::ci95(acc), 1), Table::num(samples.median(), 1),
+               Table::num(samples.percentile(0.9), 1),
                Table::num(samples.count()),
                Table::num(pnm::analysis::expected_packets_to_order_first_pair(
                               p > 1.0 ? 1.0 : p),

@@ -82,6 +82,28 @@ TEST(Cli, UnknownOrMalformedFlagsAreRefused) {
   EXPECT_EQ(run_cli("model --forwarders 8 --metrics-every-ms 0").exit_code, 0);
 }
 
+TEST(Cli, OutOfRangePortsAreRefusedBeforeAnySocketOpens) {
+  // A port above 65535 used to wrap (65536 read as 0, 70000 as 4464). Each
+  // case must exit 2 naming the flag before a listener or a dial exists. The
+  // timeout turns a regressed check, a daemon serving forever, into a
+  // failure instead of a hang.
+  const std::string trace = std::string(PNM_CORPUS_DIR) + "/no-mark.pnmtrace";
+  const std::pair<std::string, std::string> refused[] = {
+      {"serve --campaign " + trace + " --port 65536", "--port"},
+      {"serve --campaign " + trace + " --admin-port 70000", "--admin-port"},
+      {"loadgen --traces " + trace + " --port 65536", "--port"},
+      {"loadgen --traces " + trace + " --port 70000", "--port"},
+      {"flight-dump --admin-port 70000", "--admin-port"},
+  };
+  for (const auto& [args, flag] : refused) {
+    CliResult r = pnm::test::run_command("timeout 20 '" PNM_CLI_PATH "' " + args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.out;
+    EXPECT_NE(r.out.find(flag + " expects a port number"), std::string::npos)
+        << args << "\n" << r.out;
+    EXPECT_EQ(r.out.find("sessions on"), std::string::npos) << args << "\n" << r.out;
+  }
+}
+
 TEST(Cli, ShaBackendGaugeReportsTheForcedRungBeforeAnyHashing) {
   // `list` hashes nothing, so the gauge holds whatever was registered at
   // startup: that must be the rung the env override picked, not the best

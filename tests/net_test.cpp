@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <set>
 
 #include "crypto/sha256.h"
@@ -594,6 +595,62 @@ TEST(SimulatorEventCore, CalendarQueueOrdersScatteredTimes) {
   for (std::size_t i = 0; i < fired.size(); ++i) {
     EXPECT_EQ(fired[i].time, expected[i].first) << "event " << i;
     EXPECT_EQ(fired[i].id, expected[i].second) << "event " << i;
+  }
+}
+
+// Calendar-queue order while callbacks push more events mid-dispatch, as a
+// campaign does: a chained pump (each pump schedules the next, as
+// run_chain_experiment's does) that starts a 20-hop relay, bursts of
+// near-simultaneous events, exact ties with the running event's time, and
+// far outliers that force re-spans. Every schedule() is logged with its
+// absolute time in call order, which is the queue's FIFO order, so the
+// dispatch sequence must equal that log sorted by (time, call order).
+TEST(SimulatorEventCore, CalendarQueueOrdersInterleavedPushes) {
+  Topology topo = Topology::chain(2);
+  RoutingTable routing(topo, RoutingStrategy::kTree);
+  Simulator sim(topo, routing, LinkModel{}, EnergyModel{}, 1);
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::vector<std::pair<double, int>> scheduled;  // (time, call order)
+  std::vector<std::pair<double, int>> fired;
+  std::function<void(double, std::function<void()>)> add =
+      [&](double delay, std::function<void()> then) {
+        const int id = static_cast<int>(scheduled.size());
+        scheduled.push_back({sim.now() + delay, id});
+        sim.schedule(delay, [&fired, &sim, id, then = std::move(then)] {
+          fired.push_back({sim.now(), id});
+          if (then) then();
+        });
+      };
+  std::function<void(int)> hop = [&](int left) {
+    if (next() % 8 == 0) add(0.0, nullptr);  // exact tie with this event
+    if (left > 0) add(0.0123 + static_cast<double>(next() % 4) * 1e-4, [&hop, left] {
+      hop(left - 1);
+    });
+  };
+  int pumps = 0;
+  std::function<void()> pump = [&] {
+    ++pumps;
+    hop(20);
+    if (pumps % 10 == 0)  // a burst, with ties among its own events
+      for (int i = 0; i < 50; ++i) add(static_cast<double>(next() % 5) * 1e-3, nullptr);
+    if (pumps % 50 == 0) add(1000.0 + static_cast<double>(next() % 3), nullptr);
+    if (pumps < 300) add(1.0 / 30.0, pump);
+  };
+  add(0.0, pump);
+  ASSERT_TRUE(sim.run());
+  EXPECT_EQ(pumps, 300);
+  ASSERT_EQ(fired.size(), scheduled.size());
+  std::vector<std::pair<double, int>> expected = scheduled;
+  std::sort(expected.begin(), expected.end());
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    ASSERT_EQ(fired[i].first, expected[i].first) << "event " << i;
+    ASSERT_EQ(fired[i].second, expected[i].second) << "event " << i;
   }
 }
 

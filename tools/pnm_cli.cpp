@@ -166,6 +166,15 @@ struct Args {
     auto it = kv.find(k);
     return it == kv.end() ? dflt : count_or_exit(k, it->second);
   }
+  /// A TCP port, 0 when absent (an ephemeral bind, or "not given"). A value
+  /// above 65535 exits 2 naming the flag rather than wrapping to another port.
+  std::uint16_t port(const std::string& k) const {
+    const std::size_t value = num(k, 0);
+    if (value > 65535)
+      usage_error("--%s expects a port number up to 65535, got '%s'", k.c_str(),
+                  kv.at(k).c_str());
+    return static_cast<std::uint16_t>(value);
+  }
   double real(const std::string& k, double dflt) const {
     auto it = kv.find(k);
     if (it == kv.end()) return dflt;
@@ -189,6 +198,17 @@ pnm::attack::AttackKind attack_by_name(const std::string& name) {
   for (auto kind : pnm::attack::all_attack_kinds())
     if (name == pnm::attack::attack_kind_name(kind)) return kind;
   usage_error("unknown attack '%s' (try: pnm list)", name.c_str());
+}
+
+/// Space-separated node ids (or counts), appended in place.
+template <typename T>
+std::string node_list(const std::vector<T>& nodes) {
+  std::string out;
+  for (T v : nodes) {
+    if (!out.empty()) out += ' ';
+    out += Table::num(static_cast<std::size_t>(v));
+  }
+  return out;
 }
 
 int cmd_list(const Args&) {
@@ -243,17 +263,11 @@ int cmd_experiment(const Args& args) {
   if (r.final_analysis.identified) {
     t.add_row({"packets to identify", Table::num(r.packets_to_identify.value_or(0))});
     t.add_row({"stop node", Table::num(static_cast<std::size_t>(r.final_analysis.stop_node))});
-    std::string suspects;
-    for (auto s : r.final_analysis.suspects)
-      suspects += (suspects.empty() ? "" : " ") + Table::num(static_cast<std::size_t>(s));
-    t.add_row({"suspects", suspects});
+    t.add_row({"suspects", node_list(r.final_analysis.suspects)});
     t.add_row({"via loop", r.final_analysis.via_loop ? "yes" : "no"});
     t.add_row({"mole in suspects (ground truth)", r.mole_in_suspects ? "YES" : "NO"});
   }
-  std::string moles;
-  for (auto m : r.moles)
-    moles += (moles.empty() ? "" : " ") + Table::num(static_cast<std::size_t>(m));
-  t.add_row({"actual moles", moles});
+  t.add_row({"actual moles", node_list(r.moles)});
   t.add_row({"sim time (s)", Table::num(r.sim_duration_s, 2)});
   t.add_row({"energy (mJ)", Table::num(r.total_energy_uj / 1000.0, 1)});
   std::fputs(t.render().c_str(), stdout);
@@ -436,13 +450,6 @@ int cmd_verify(const Args& args) {
   return 0;
 }
 
-std::string node_list(const std::vector<pnm::NodeId>& nodes) {
-  std::string out;
-  for (auto v : nodes)
-    out += (out.empty() ? "" : " ") + Table::num(static_cast<std::size_t>(v));
-  return out;
-}
-
 int cmd_record(const Args& args) {
   std::string out_path = args.str("out", "");
   if (out_path.empty()) {
@@ -505,10 +512,7 @@ int cmd_replay(const Args& args) {
   t.add_row({"queue high water", Table::num(r.stats.queue_high_water)});
   if (r.stats.shards > 1) {
     t.add_row({"shards", Table::num(r.stats.shards)});
-    std::string per_shard;
-    for (std::size_t n : r.stats.shard_records)
-      per_shard += (per_shard.empty() ? "" : " ") + Table::num(n);
-    t.add_row({"records per shard", per_shard});
+    t.add_row({"records per shard", node_list(r.stats.shard_records)});
     t.add_row({"merge buffer high water", Table::num(r.stats.merge_max_pending)});
   }
   t.add_row({"identified", r.analysis.identified ? "yes" : "no"});
@@ -598,9 +602,9 @@ int cmd_serve(const Args& args) {
   }
   pnm::serve::ServerConfig cfg;
   cfg.campaign_trace = campaign;
-  cfg.tcp_port = static_cast<std::uint16_t>(args.num("port", 0));
+  cfg.tcp_port = args.port("port");
   cfg.unix_socket_path = args.str("unix", "");
-  cfg.admin_port = static_cast<std::uint16_t>(args.num("admin-port", 0));
+  cfg.admin_port = args.port("admin-port");
   cfg.shards = args.num("shards", 1);
   cfg.threads = args.num("threads", 1);
   cfg.batch_size = args.num("batch", 64);
@@ -655,7 +659,7 @@ int cmd_serve(const Args& args) {
 int cmd_loadgen(const Args& args) {
   pnm::serve::LoadgenConfig cfg;
   cfg.host = args.str("host", "127.0.0.1");
-  cfg.port = static_cast<std::uint16_t>(args.num("port", 0));
+  cfg.port = args.port("port");
   cfg.unix_socket_path = args.str("unix", "");
   cfg.connections = args.num("connections", 1);
   cfg.repeat = args.num("repeat", 1);
@@ -713,7 +717,7 @@ int cmd_loadgen(const Args& args) {
 }
 
 int cmd_flight_dump(const Args& args) {
-  std::uint16_t admin_port = static_cast<std::uint16_t>(args.num("admin-port", 0));
+  std::uint16_t admin_port = args.port("admin-port");
   if (admin_port == 0) {
     std::fprintf(stderr, "flight-dump: --admin-port P is required\n");
     return 2;

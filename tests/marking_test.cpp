@@ -74,7 +74,9 @@ TEST_F(MarkingFixture, NestedMacInputBindsIdAndPrefix) {
 TEST_F(MarkingFixture, NestedMacInputIsTagPrefixAndId) {
   // nested_mac_input writes its bytes in one exact-size buffer; they must be
   // the framed composition message_prefix documents, for every mark count
-  // (including counts past the marks present) and empty fields.
+  // (including counts past the marks present) and empty fields. nested_mac
+  // writes the same bytes into padded scratch (one to several blocks here)
+  // and must MAC them exactly as truncated_mac does.
   net::Packet p = fresh_packet();
   p.marks.push_back(net::Mark{encode_id(7), Bytes{1, 2, 3, 4}});
   p.marks.push_back(net::Mark{Bytes{}, Bytes(300, 0x5A)});
@@ -86,6 +88,10 @@ TEST_F(MarkingFixture, NestedMacInputIsTagPrefixAndId) {
       w.raw(message_prefix(p, count));
       w.blob16(id);
       EXPECT_EQ(nested_mac_input(p, count, id), w.bytes())
+          << "count " << count << ", id of " << id.size() << " bytes";
+      const ByteView key = keys_.key_unchecked(3);
+      EXPECT_EQ(nested_mac(crypto::HmacKey(key), p, count, id, 4),
+                crypto::truncated_mac(key, w.bytes(), 4))
           << "count " << count << ", id of " << id.size() << " bytes";
     }
   }

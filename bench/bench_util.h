@@ -48,6 +48,15 @@ inline double ci95(const Accumulator& a) {
   return 1.96 * a.stddev() / std::sqrt(static_cast<double>(a.count()));
 }
 
+/// Half-width of the normal-approximation 95% interval of a count of `k`
+/// events in `n` runs: 1.96·√(k(n−k)/n), the binomial standard deviation of
+/// the count (0 when n is 0).
+inline double count_ci95(std::size_t k, std::size_t n) {
+  if (n == 0) return 0.0;
+  const double kd = static_cast<double>(k), nd = static_cast<double>(n);
+  return 1.96 * std::sqrt(kd * (nd - kd) / nd);
+}
+
 inline void emit(const Table& table, const BenchArgs& args) {
   if (args.csv) {
     std::fputs(table.csv().c_str(), stdout);

@@ -7,8 +7,10 @@
 // failure rate under 5%.
 //
 // One 800-packet run serves all four traffic checkpoints: identification
-// state is sampled at 200/400/600/800 delivered packets.
+// state is sampled at 200/400/600/800 delivered packets. Each failure count
+// k out of n runs is printed with its 95% interval, ±1.96·√(k(n−k)/n).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -22,10 +24,11 @@ int main(int argc, char** argv) {
 
   const std::size_t checkpoints[] = {200, 400, 600, 800};
 
-  Table t({"path length", "fail@200", "fail@400", "fail@600", "fail@800",
-           "wrong@800"});
+  Table t({"path length", "fail@200", "±95%", "fail@400", "±95%", "fail@600", "±95%",
+           "fail@800", "±95%", "wrong@800"});
   t.set_title("Fig. 6 — runs (out of " + std::to_string(runs) +
-              ") where the source is NOT unequivocally identified");
+              ") where the source is NOT unequivocally identified (±95% = "
+              "1.96·sqrt(k(n-k)/n))");
 
   // Independent runs fan out across --jobs workers; tallies accumulate in
   // run order, so the table is identical for any J.
@@ -59,8 +62,13 @@ int main(int argc, char** argv) {
         if (!out.identified_at[c]) ++fails[c];
       if (out.wrong_final) ++wrong_final;
     }
-    t.add_row({Table::num(n), Table::num(fails[0]), Table::num(fails[1]),
-               Table::num(fails[2]), Table::num(fails[3]), Table::num(wrong_final)});
+    std::vector<std::string> row{Table::num(n)};
+    for (std::size_t f : fails) {
+      row.push_back(Table::num(f));
+      row.push_back(Table::num(pnm::bench::count_ci95(f, runs), 1));
+    }
+    row.push_back(Table::num(wrong_final));
+    t.add_row(std::move(row));
   }
   pnm::bench::emit(t, args);
 

@@ -6,12 +6,20 @@ Metric *values* are timing-dependent, so CI pins only the shape: the file
 must be valid JSON and its sorted top-level key set must equal the golden
 list (one key per line, # comments allowed). Exit 0 on match, 1 with a diff
 otherwise.
+
+Each ingest shard exports its own `ingest_queue_depth_shard<i>` gauge. With
+`--shards N` the golden's per-shard keys are replaced by exactly those of
+shards 0..N-1, so one golden pins the key set of any shard count.
 """
+import argparse
 import json
+import re
 import sys
 
+SHARD_KEY = re.compile(r"ingest_queue_depth_shard\d+")
 
-def main(metrics_path, golden_path):
+
+def main(metrics_path, golden_path, shards=None):
     with open(metrics_path, encoding="utf-8") as f:
         try:
             data = json.load(f)
@@ -27,6 +35,11 @@ def main(metrics_path, golden_path):
             line.strip()
             for line in f
             if line.strip() and not line.lstrip().startswith("#")
+        )
+    if shards is not None:
+        want = sorted(
+            [k for k in want if not SHARD_KEY.fullmatch(k)]
+            + [f"ingest_queue_depth_shard{i}" for i in range(shards)]
         )
     got = sorted(data.keys())
 
@@ -49,7 +62,12 @@ def main(metrics_path, golden_path):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        print(f"usage: {sys.argv[0]} METRICS.json GOLDEN.keys", file=sys.stderr)
-        sys.exit(2)
-    sys.exit(main(sys.argv[1], sys.argv[2]))
+    parser = argparse.ArgumentParser()
+    parser.add_argument("metrics", metavar="METRICS.json")
+    parser.add_argument("golden", metavar="GOLDEN.keys")
+    parser.add_argument("--shards", type=int, metavar="N",
+                        help="ingest shards of the export (expects shard keys 0..N-1)")
+    args = parser.parse_args()
+    if args.shards is not None and args.shards < 1:
+        parser.error("--shards must be at least 1")
+    sys.exit(main(args.metrics, args.golden, args.shards))

@@ -13,7 +13,6 @@
 #include "obs/provenance.h"
 #include "sink/catcher.h"
 #include "trace/writer.h"
-#include "util/log.h"
 
 namespace pnm::core {
 

@@ -67,6 +67,11 @@ void write_nested_mac_input(const net::Packet& p, std::size_t mark_count, ByteVi
   write_nested_input(p, marks, id_field, out.data());
 }
 
+Bytes& nested_pass_input() {
+  thread_local Bytes input;
+  return input;
+}
+
 Bytes nested_mac(const crypto::HmacKey& key, const net::Packet& p, std::size_t mark_count,
                  ByteView id_field, std::size_t mac_len) {
   assert(mac_len >= 1 && mac_len <= crypto::kSha256DigestSize);

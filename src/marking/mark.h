@@ -8,9 +8,11 @@
 // notation glosses over).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "crypto/hmac.h"
+#include "marking/scheme.h"
 #include "net/report.h"
 #include "util/bytes.h"
 
@@ -29,6 +31,40 @@ Bytes nested_mac_input(const net::Packet& p, std::size_t mark_count, ByteView id
 /// reused buffer keeps its capacity from packet to packet.
 void write_nested_mac_input(const net::Packet& p, std::size_t mark_count, ByteView id_field,
                             Bytes& out);
+
+/// The calling thread's buffer that nested_backward_pass writes inputs into.
+Bytes& nested_pass_input();
+
+/// The nested backward pass (§4.1–4.2), the one every nested-family verifier
+/// runs. It walks p's marks from the last to the first; for mark j it writes
+/// nested_mac_input(p, j, id_field) into the thread's reused buffer and asks
+/// `resolve(mark, input)` for the node whose key verifies the mark's MAC over
+/// that input, or kInvalidNode. A valid MAC at j certifies the byte-exact
+/// prefix 0..j-1 as the message its node received, so the pass stops at the
+/// first mark that does not resolve: that mark and every mark under it are
+/// invalid, because nothing behind a bad MAC can be trusted. The chain lists
+/// the resolved marks in path order, most upstream first. `resolve` supplies
+/// only how one mark maps to a node, and must not run another pass on this
+/// thread (the input buffer is shared).
+template <typename Resolve>
+VerifyResult nested_backward_pass(const net::Packet& p, Resolve&& resolve) {
+  VerifyResult out;
+  out.total_marks = p.marks.size();
+  Bytes& input = nested_pass_input();
+  for (std::size_t j = p.marks.size(); j-- > 0;) {
+    const net::Mark& m = p.marks[j];
+    write_nested_mac_input(p, j, m.id_field, input);
+    const NodeId node = resolve(m, ByteView(input));
+    if (node == kInvalidNode) {
+      out.invalid_marks = j + 1;
+      out.truncated_by_invalid = true;
+      break;
+    }
+    out.chain.push_back(VerifiedMark{node, j});
+  }
+  std::reverse(out.chain.begin(), out.chain.end());  // walked last to first
+  return out;
+}
 
 /// The nested MAC every nested-family scheme writes: `key`'s HMAC over
 /// nested_mac_input(p, mark_count, id_field), truncated to mac_len bytes.

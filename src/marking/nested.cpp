@@ -1,7 +1,5 @@
 #include "marking/nested.h"
 
-#include <algorithm>
-
 #include "crypto/hmac.h"
 #include "marking/mark.h"
 
@@ -23,31 +21,13 @@ net::Mark NestedMarking::make_mark(const net::Packet& p, NodeId claimed, ByteVie
 }
 
 VerifyResult NestedMarking::verify(const net::Packet& p, const crypto::KeyStore& keys) const {
-  VerifyResult out;
-  out.total_marks = p.marks.size();
-  // Backward pass: the last mark's MAC covers the whole packet before it, so
-  // a valid MAC at position j certifies the byte-exact prefix 0..j-1 as the
-  // message the marking node received. Stop at the first invalid MAC — the
-  // prefix behind it is untrustworthy. Each mark checks through its node's
-  // precomputed schedule, with the input built in reused scratch.
-  thread_local Bytes input;
-  for (std::size_t j = p.marks.size(); j-- > 0;) {
-    const net::Mark& m = p.marks[j];
-    auto id = decode_id(m.id_field);
-    bool valid = false;
-    if (id && *id != kSinkId && *id < keys.size()) {
-      write_nested_mac_input(p, j, m.id_field, input);
-      valid = keys.hmac_key(*id).verify(input, m.mac);
-    }
-    if (!valid) {
-      out.invalid_marks = j + 1;  // this mark and everything under it
-      out.truncated_by_invalid = true;
-      break;
-    }
-    out.chain.push_back(VerifiedMark{*id, j});
-  }
-  std::reverse(out.chain.begin(), out.chain.end());  // walked last to first
-  return out;
+  // A mark names its node in plaintext: one MAC check through that node's
+  // precomputed schedule decides it.
+  return nested_backward_pass(p, [&](const net::Mark& m, ByteView input) {
+    const auto id = decode_id(m.id_field);
+    if (!id || *id == kSinkId || *id >= keys.size()) return kInvalidNode;
+    return keys.hmac_key(*id).verify(input, m.mac) ? *id : kInvalidNode;
+  });
 }
 
 }  // namespace pnm::marking

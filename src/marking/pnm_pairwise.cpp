@@ -3,6 +3,7 @@
 #include "crypto/anon_id.h"
 #include "crypto/hmac.h"
 #include "marking/mark.h"
+#include "marking/pnm_scheme.h"
 #include "sink/anon_lookup.h"
 
 namespace pnm::marking {
@@ -49,34 +50,15 @@ net::Mark PnmPairwise::make_mark(const net::Packet& p, NodeId claimed, ByteView 
 }
 
 VerifyResult PnmPairwise::verify(const net::Packet& p, const crypto::KeyStore& keys) const {
-  VerifyResult out;
-  out.total_marks = p.marks.size();
-  if (p.marks.empty()) return out;
-
-  sink::AnonIdTable table(keys, p.report, cfg_.anon_len);
-  const std::size_t field_len = cfg_.anon_len + claim_len_;
-
-  for (std::size_t j = p.marks.size(); j-- > 0;) {
-    const net::Mark& m = p.marks[j];
-    NodeId resolved = kInvalidNode;
-    if (m.id_field.size() == field_len) {
-      ByteView anon(m.id_field.data(), cfg_.anon_len);
-      Bytes input = nested_mac_input(p, j, m.id_field);
-      for (NodeId candidate : table.candidates(anon)) {
-        if (keys.hmac_key(candidate).verify(input, m.mac)) {
-          resolved = candidate;
-          break;
-        }
-      }
-    }
-    if (resolved == kInvalidNode) {
-      out.invalid_marks = j + 1;
-      out.truncated_by_invalid = true;
-      break;
-    }
-    out.chain.insert(out.chain.begin(), VerifiedMark{resolved, j});
-  }
-  return out;
+  // PNM's sweep over the anon-ID prefix; the neighbor tag after it is
+  // checked only by resolve_claims, once the chain is known.
+  thread_local sink::AnonIdTable table;
+  table.clear(cfg_.anon_len);
+  AnonSweep sweep{table, keys, p.report};
+  return nested_backward_pass(p, [&](const net::Mark& m, ByteView input) {
+    if (m.id_field.size() != cfg_.anon_len + claim_len_) return kInvalidNode;
+    return sweep.resolve(ByteView(m.id_field.data(), cfg_.anon_len), input, m.mac);
+  });
 }
 
 std::vector<NeighborClaim> PnmPairwise::resolve_claims(const net::Packet& p,

@@ -1,6 +1,5 @@
 #include "marking/pnm_scheme.h"
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -49,13 +48,13 @@ std::size_t sweep_chunk() {
 }
 
 /// The first of `candidates` (ascending ids) whose MAC over `input` matches
-/// `mac`, or kInvalidNode. kMacChecks meters candidates walked up to and
+/// `mac`, or kInvalidNode. `mac_checks` counts candidates walked up to and
 /// including the resolving one. Colliding candidates share one MAC input
 /// (same mark, different keys), so two or more run as one multi-lane sweep.
 NodeId first_verifying(std::span<const NodeId> candidates, const crypto::KeyStore& keys,
-                       ByteView input, ByteView mac, util::Counters& metrics) {
+                       ByteView input, ByteView mac, std::uint64_t& mac_checks) {
   if (candidates.size() == 1) {
-    metrics.add(util::Metric::kMacChecks);
+    ++mac_checks;
     return keys.hmac_key(candidates[0]).verify(input, mac) ? candidates[0]
                                                           : kInvalidNode;
   }
@@ -66,7 +65,7 @@ NodeId first_verifying(std::span<const NodeId> candidates, const crypto::KeyStor
   macs.resize(jobs.size());
   crypto::hmac_batch(jobs, macs.data());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
-    metrics.add(util::Metric::kMacChecks);
+    ++mac_checks;
     if (mac.size() >= 1 && mac.size() <= crypto::kSha256DigestSize &&
         constant_time_equal(ByteView(macs[c].data(), mac.size()), mac)) {
       return candidates[c];
@@ -88,52 +87,37 @@ VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& key
   return verify(p, keys, metrics, table);
 }
 
+NodeId AnonSweep::resolve(ByteView anon, ByteView input, ByteView mac) {
+  // The table covers nodes 1..table.size() and grows one chunk at a time,
+  // only while this mark is unresolved. The mark scans the rows it has not
+  // seen yet and MAC-checks the matches in ascending id, so it resolves to
+  // the lowest-id candidate whose MAC verifies, after the same MAC checks as
+  // a lookup in the full table would make. A mark that resolves inside the
+  // swept prefix costs no PRFs; an invalid one sweeps every node first.
+  thread_local std::vector<NodeId> candidates;
+  for (std::size_t scanned = 0;;) {
+    candidates.clear();
+    table.collect(anon, scanned, candidates);
+    scanned = table.size();
+    if (!candidates.empty()) {
+      const NodeId resolved = first_verifying(candidates, keys, input, mac, mac_checks);
+      if (resolved != kInvalidNode) return resolved;
+    }
+    const std::size_t swept = table.extend(keys, report, sweep_chunk());
+    if (swept == 0) return kInvalidNode;
+    prf_evals += swept;
+  }
+}
+
 VerifyResult PnmScheme::verify(const net::Packet& p, const crypto::KeyStore& keys,
                                util::Counters& metrics, sink::AnonIdTable& table) const {
-  VerifyResult out;
-  out.total_marks = p.marks.size();
   metrics.add(util::Metric::kPacketsVerified);
-  if (p.marks.empty()) return out;
-
-  // Nested backward pass over an ascending, lazily extended anon-ID sweep.
-  // The table covers nodes 1..table.size() and grows one chunk at a time,
-  // only while the mark in hand is unresolved. A mark scans the rows it has
-  // not seen yet and MAC-checks the matches in ascending id, so it resolves
-  // to the lowest-id candidate whose MAC verifies, after the same MAC checks
-  // as a lookup in the full table would make. Marks that resolve inside the
-  // swept prefix cost no PRFs; an invalid mark sweeps every node before it
-  // is declared invalid.
-  thread_local std::vector<NodeId> candidates;
-  thread_local Bytes input;  // nested MAC input, built on a mark's first candidate
-  const std::size_t chunk = sweep_chunk();
-  std::size_t prf_evals = 0;
-  for (std::size_t j = p.marks.size(); j-- > 0;) {
-    const net::Mark& m = p.marks[j];
-    NodeId resolved = kInvalidNode;
-    bool built = false;
-    for (std::size_t scanned = 0;;) {
-      candidates.clear();
-      table.collect(m.id_field, scanned, candidates);
-      scanned = table.size();
-      if (!candidates.empty()) {
-        if (!built) write_nested_mac_input(p, j, m.id_field, input);
-        built = true;
-        resolved = first_verifying(candidates, keys, input, m.mac, metrics);
-        if (resolved != kInvalidNode) break;
-      }
-      const std::size_t swept = table.extend(keys, p.report, chunk);
-      if (swept == 0) break;
-      prf_evals += swept;
-    }
-    if (resolved == kInvalidNode) {
-      out.invalid_marks = j + 1;
-      out.truncated_by_invalid = true;
-      break;
-    }
-    out.chain.push_back(VerifiedMark{resolved, j});
-  }
-  std::reverse(out.chain.begin(), out.chain.end());  // walked last to first
-  if (prf_evals > 0) metrics.add(util::Metric::kPrfEvals, prf_evals);
+  AnonSweep sweep{table, keys, p.report};
+  VerifyResult out = nested_backward_pass(p, [&](const net::Mark& m, ByteView input) {
+    return sweep.resolve(m.id_field, input, m.mac);
+  });
+  if (sweep.prf_evals > 0) metrics.add(util::Metric::kPrfEvals, sweep.prf_evals);
+  if (sweep.mac_checks > 0) metrics.add(util::Metric::kMacChecks, sweep.mac_checks);
   return out;
 }
 

@@ -6,11 +6,14 @@
 //
 // The anonymous ID removes the information a selective-dropping mole needs
 // (it cannot tell which upstream nodes marked a packet), while the nested MAC
-// keeps the consecutive-traceability property. Sink-side verification runs
-// the nested backward MAC pass, resolving each i' to candidate real nodes
-// via the per-report AnonIdTable and disambiguating anon-ID collisions by
-// which candidate's key actually verifies.
+// keeps the consecutive-traceability property. Sink-side verification is
+// the one nested backward pass (marking::nested_backward_pass); what PNM
+// supplies is how a mark resolves to a node: AnonSweep looks i' up in the
+// per-report AnonIdTable, grown lazily in ascending id, and disambiguates
+// anon-ID collisions by which candidate's key actually verifies.
 #pragma once
+
+#include <cstdint>
 
 #include "marking/scheme.h"
 #include "util/counters.h"
@@ -20,6 +23,26 @@ class AnonIdTable;
 }
 
 namespace pnm::marking {
+
+/// How a PNM-family mark resolves to a node (PnmScheme and PnmPairwise): a
+/// lazy ascending sweep of `report`'s anonymous IDs into `table`, which
+/// covers nodes 1..table.size() and may hold rows from earlier packets of
+/// the same report. One sweep serves one packet's backward pass and tallies
+/// its work.
+struct AnonSweep {
+  sink::AnonIdTable& table;
+  const crypto::KeyStore& keys;
+  ByteView report;
+  std::uint64_t prf_evals = 0;   ///< rows this sweep added to the table
+  std::uint64_t mac_checks = 0;  ///< candidates MAC-checked
+
+  /// The lowest-id node whose anonymous ID equals `anon` and whose key's MAC
+  /// over `input` matches `mac`, or kInvalidNode once every non-sink node is
+  /// swept. The rows not yet scanned for this mark are checked first; the
+  /// sweep extends one chunk (sized to the SHA rung's lanes) at a time, and
+  /// only while the mark is unresolved.
+  NodeId resolve(ByteView anon, ByteView input, ByteView mac);
+};
 
 class PnmScheme final : public MarkingScheme {
  public:

@@ -51,8 +51,6 @@ struct VerifyResult {
   /// True if a bad MAC cut the backward pass short (nested schemes), i.e.
   /// someone upstream of chain.front() tampered with the packet.
   bool truncated_by_invalid = false;
-
-  bool all_valid() const { return invalid_marks == 0; }
 };
 
 class MarkingScheme {

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/metrics.h"
-#include "util/log.h"
 
 namespace pnm::net {
 
@@ -64,7 +63,7 @@ void Simulator::inject(NodeId origin, Packet packet) {
   if (isolated_.at(origin)) return;
   NodeId next = routing_->next_hop(origin);
   if (next == kInvalidNode) {
-    PNM_WARN << "inject: node " << origin << " has no route to the sink";
+    ++packets_unroutable_;
     return;
   }
   std::uint32_t h = packets_.alloc();
@@ -167,10 +166,7 @@ void Simulator::arrive(std::uint32_t h) {
 bool Simulator::run(std::size_t max_events) {
   std::size_t processed = 0;
   while (!calq_.empty()) {
-    if (processed++ >= max_events) {
-      PNM_ERROR << "simulator: event budget exhausted (" << max_events << ")";
-      return false;
-    }
+    if (processed++ >= max_events) return false;
     const EventRef ev = calq_.pop();
     assert(ev.time + 1e-12 >= now_);
     now_ = ev.time;

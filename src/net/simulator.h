@@ -108,6 +108,9 @@ class Simulator {
   /// arrived at it afterwards (and any packet a handler forwards after
   /// isolating its own node).
   std::size_t packets_dropped_isolated() const { return packets_isolated_dropped_; }
+  /// inject() calls refused because the origin had no route to the sink;
+  /// such a packet never enters the network.
+  std::size_t packets_unroutable() const { return packets_unroutable_; }
   /// Total events dispatched across all run() calls. Radio-free events
   /// count only when a packet was waiting, so this is roughly one event
   /// per hop plus one per callback, not two per hop.
@@ -165,6 +168,7 @@ class Simulator {
   std::size_t packets_node_dropped_ = 0;
   std::size_t packets_queue_dropped_ = 0;
   std::size_t packets_isolated_dropped_ = 0;
+  std::size_t packets_unroutable_ = 0;
   std::size_t events_processed_ = 0;
 };
 

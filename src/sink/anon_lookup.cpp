@@ -90,26 +90,4 @@ std::vector<NodeId> AnonIdTable::candidates(ByteView anon) const {
   return out;
 }
 
-std::vector<NodeId> scoped_candidates(const crypto::KeyStore& keys,
-                                      const net::Topology& topo, NodeId previous_hop,
-                                      ByteView report, ByteView anon,
-                                      std::size_t anon_len) {
-  thread_local std::vector<NodeId> ids;
-  ids.clear();
-  for (NodeId id : topo.closed_neighborhood(previous_hop)) {
-    if (id == kSinkId || id >= keys.size()) continue;
-    ids.push_back(id);
-  }
-  ByteView anons = batched_anon_ids(keys, report, ids, anon_len);
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    ByteView candidate = anons.subspan(i * anon_len, anon_len);
-    if (candidate.size() == anon.size() &&
-        std::equal(candidate.begin(), candidate.end(), anon.begin())) {
-      out.push_back(ids[i]);
-    }
-  }
-  return out;
-}
-
 }  // namespace pnm::sink

@@ -5,14 +5,16 @@
 // are truncated, so collisions are expected; lookups return a candidate SET
 // and the caller disambiguates by checking each candidate's MAC.
 //
-// Two search modes:
-//  * exhaustive      — the paper's default: all nodes, O(network size) hashes
-//                      per distinct report at worst (feasible at sink
-//                      compute rates); the per-packet verifier stops early
-//                      once every mark has resolved;
-//  * topology-scoped — the §7 optimization: when the sink knows the topology
-//                      it restricts the search to the one-hop neighbors of
-//                      the previously verified node, O(d) hashes per mark.
+// Two ways the sink searches, both behind the one nested backward pass
+// (marking::nested_backward_pass):
+//  * exhaustive      — the paper's default: an AnonIdTable over all nodes,
+//                      at most one PRF per node per distinct report, swept
+//                      lazily in ascending id (marking::AnonSweep) and
+//                      stopped once every mark has resolved;
+//  * topology-scoped — the §7 optimization (sink/scoped_verify.h): when the
+//                      sink knows the topology it searches ring by ring out
+//                      from the previously verified node, so a mark costs
+//                      about as many PRFs as the nodes within its gap.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@
 
 #include "crypto/anon_id.h"
 #include "crypto/keys.h"
-#include "net/topology.h"
 #include "util/bytes.h"
 #include "util/ids.h"
 
@@ -73,13 +74,5 @@ class AnonIdTable {
   std::vector<std::uint64_t> keys_;  ///< packed anon IDs (anon_len <= 8)
   Bytes wide_;                       ///< anon IDs at stride anon_len (> 8)
 };
-
-/// Topology-scoped candidate search: compute anonymous IDs only for the
-/// closed one-hop neighborhood of `previous_hop` and return the matches.
-/// This is O(degree) instead of O(network size).
-std::vector<NodeId> scoped_candidates(const crypto::KeyStore& keys,
-                                      const net::Topology& topo, NodeId previous_hop,
-                                      ByteView report, ByteView anon,
-                                      std::size_t anon_len);
 
 }  // namespace pnm::sink

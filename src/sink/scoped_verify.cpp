@@ -145,11 +145,9 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                                         ScopedVerifyStats* stats,
                                         crypto::PrfCache* cache,
                                         util::Counters* counters) {
-  marking::VerifyResult out;
-  out.total_marks = p.marks.size();
   util::Counters& metrics = counters ? *counters : util::Counters::global();
   metrics.add(util::Metric::kPacketsVerified);
-  if (p.marks.empty()) return out;
+  if (p.marks.empty()) return marking::VerifyResult{};
 
   // One shard lookup per packet; each mark then walks under one row lock.
   const crypto::PrfCache::RowRef row =
@@ -162,29 +160,21 @@ marking::VerifyResult scoped_verify_pnm(const net::Packet& p,
                       ? p.delivered_by
                       : kSinkId;
 
+  // A mark resolves by the ring search out from the last resolved node; the
+  // pass builds its MAC input before the row lock is taken.
   thread_local Walker walker;
-  for (std::size_t j = p.marks.size(); j-- > 0;) {
-    const net::Mark& m = p.marks[j];
-    NodeId resolved = kInvalidNode;
-
-    if (m.id_field.size() == cfg.anon_len) {
-      Bytes input = marking::nested_mac_input(p, j, m.id_field);
-      std::unique_lock<std::mutex> lock;
-      if (row) lock = std::unique_lock<std::mutex>(row->mutex());
-      resolved = search(walker, topo, anchor, ring_bound, keys, p.report, cache, row, lock,
-                        m.id_field, meter, [&](NodeId node) {
-                          return keys.hmac_key(node).verify(input, m.mac);
-                        });
-    }
-
-    if (resolved == kInvalidNode) {
-      out.invalid_marks = j + 1;
-      out.truncated_by_invalid = true;
-      break;
-    }
-    out.chain.insert(out.chain.begin(), marking::VerifiedMark{resolved, j});
-    anchor = resolved;  // next (more upstream) mark is near this node
-  }
+  marking::VerifyResult out =
+      marking::nested_backward_pass(p, [&](const net::Mark& m, ByteView input) {
+        if (m.id_field.size() != cfg.anon_len) return kInvalidNode;
+        std::unique_lock<std::mutex> lock;
+        if (row) lock = std::unique_lock<std::mutex>(row->mutex());
+        const NodeId resolved =
+            search(walker, topo, anchor, ring_bound, keys, p.report, cache, row, lock,
+                   m.id_field, meter,
+                   [&](NodeId node) { return keys.hmac_key(node).verify(input, m.mac); });
+        if (resolved != kInvalidNode) anchor = resolved;  // the next mark is near it
+        return resolved;
+      });
 
   const std::size_t computed = meter.walked - meter.hits;
   if (meter.hits) metrics.add(util::Metric::kCacheHits, meter.hits);

@@ -24,8 +24,13 @@
 // anonymous IDs an earlier packet computed. The work counters are added once
 // per packet.
 //
-// The result is bit-identical to PnmScheme::verify (asserted by tests); only
-// the search order — and therefore the hash count — differs.
+// The backward MAC pass itself is marking::nested_backward_pass, the one
+// every nested-family verifier runs: it builds each mark's MAC input (before
+// the row lock is taken), stops at the first mark that does not resolve, and
+// assembles the chain. What this file supplies is the resolver: the ring
+// search above, anchored on the last resolved node. The result is
+// bit-identical to PnmScheme::verify (asserted by tests); only the search
+// order — and therefore the hash count — differs.
 #pragma once
 
 #include "crypto/keys.h"

@@ -104,6 +104,29 @@ TEST(Cli, OutOfRangePortsAreRefusedBeforeAnySocketOpens) {
   }
 }
 
+TEST(Cli, WorkerCountsAboveTheCapAreRefusedBeforeAnyThreadStarts) {
+  // 256 is the most threads, shards, jobs or connections a flag may ask
+  // for. Each case must exit 2 naming the flag; the timeout turns a
+  // regressed check (a run or a daemon with 257 workers) into a failure.
+  const std::string trace = std::string(PNM_CORPUS_DIR) + "/no-mark.pnmtrace";
+  const std::pair<std::string, std::string> refused[] = {
+      {"replay --in " + trace + " --threads 257", "--threads"},
+      {"replay --in " + trace + " --shards 257", "--shards"},
+      {"serve --campaign " + trace + " --threads 257", "--threads"},
+      {"serve --campaign " + trace + " --shards 257", "--shards"},
+      {"verify --packets 1 --threads 257", "--threads"},
+      {"matrix --packets 1 --jobs 257", "--jobs"},
+      {"sweep --runs 1 --jobs 257", "--jobs"},
+      {"loadgen --traces " + trace + " --connections 257", "--connections"},
+  };
+  for (const auto& [args, flag] : refused) {
+    CliResult r = pnm::test::run_command("timeout 20 '" PNM_CLI_PATH "' " + args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.out;
+    EXPECT_NE(r.out.find(flag + " expects at most 256"), std::string::npos)
+        << args << "\n" << r.out;
+  }
+}
+
 TEST(Cli, ShaBackendGaugeReportsTheForcedRungBeforeAnyHashing) {
   // `list` hashes nothing, so the gauge holds whatever was registered at
   // startup: that must be the rung the env override picked, not the best

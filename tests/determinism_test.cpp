@@ -114,11 +114,17 @@ TEST(Determinism, FreshRecordReplaysToOneDigestSerialThreadedAndSharded) {
 TEST(Determinism, InstrumentedReplayKeepsTheDigestAndExportsCleanly) {
   ScratchDir dir;
   const std::string spans = dir / "spans.json";
-  // The metrics-key golden pins the one-lane key set: each extra shard adds
-  // an ingest_queue_depth_shard<N> gauge, so the json export runs on one.
-  const std::pair<std::string, std::string> runs[] = {
-      {"--threads 4", "prom"}, {"--threads 4", "json"}, {"--shards 2 --threads 2", "prom"}};
-  for (const auto& [config, format] : runs) {
+  // Each shard exports an ingest_queue_depth_shard<i> gauge, so the json key
+  // check is told the run's shard count.
+  struct Run {
+    std::string config, format;
+    int shards;
+  };
+  const Run runs[] = {{"--threads 4", "prom", 1},
+                      {"--threads 4", "json", 1},
+                      {"--shards 2 --threads 2", "prom", 2},
+                      {"--shards 2 --threads 2", "json", 2}};
+  for (const auto& [config, format, shards] : runs) {
     const std::string metrics = dir / ("metrics." + format);
     fs::remove(metrics);  // stale exports from an earlier run must not pass
     fs::remove(spans);
@@ -129,7 +135,9 @@ TEST(Determinism, InstrumentedReplayKeepsTheDigestAndExportsCleanly) {
     EXPECT_EQ(verdict_digest(r.out), golden_digest("mark-removal")) << config << " " << format;
     CliResult lint = format == "prom"
                          ? run_script("check_prom.py", metrics)
-                         : run_script("check_metrics_json.py", metrics + " " + kMetricsKeys);
+                         : run_script("check_metrics_json.py", metrics + " " + kMetricsKeys +
+                                                                   " --shards " +
+                                                                   std::to_string(shards));
     EXPECT_EQ(lint.exit_code, 0) << config << " " << format << "\n" << lint.out;
     CliResult span_check = run_script("check_spans.py", spans);
     EXPECT_EQ(span_check.exit_code, 0) << config << " " << format << "\n" << span_check.out;

@@ -339,6 +339,22 @@ TEST_F(SimulatorTest, IsolatedOriginCannotInject) {
   EXPECT_EQ(delivered, 0u);
 }
 
+TEST_F(SimulatorTest, InjectionWithoutARouteIsCounted) {
+  std::vector<bool> excluded(topo_.node_count(), false);
+  excluded[3] = true;  // cuts node 5 (and 4) off from the sink
+  RoutingTable cut(topo_, RoutingStrategy::kTree, excluded);
+  sim_.set_routing(cut);
+  sim_.inject(5, make_packet());
+  sim_.run();
+  EXPECT_EQ(sim_.packets_unroutable(), 1u);
+  EXPECT_EQ(sim_.packets_delivered(), 0u);
+  sim_.set_routing(routing_);
+  sim_.inject(5, make_packet());
+  sim_.run();
+  EXPECT_EQ(sim_.packets_unroutable(), 1u);
+  EXPECT_EQ(sim_.packets_delivered(), 1u);
+}
+
 TEST_F(SimulatorTest, ArrivalAtIsolatedNodeIsCountedDropped) {
   sim_.isolate(3);
   sim_.inject(5, make_packet());

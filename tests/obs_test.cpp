@@ -1,14 +1,12 @@
 // Tests for the observability layer (src/obs): histogram bucket geometry and
 // percentile accuracy, sharded-counter exactness under contention, span
 // nesting and ring wraparound, golden strings for both exposition formats,
-// the util::Counters shim's stable JSON, the periodic Reporter, and the
-// thread-safe JSON log sink.
+// the util::Counters shim's stable JSON, and the periodic Reporter.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -18,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/counters.h"
-#include "util/log.h"
 
 namespace {
 
@@ -437,75 +434,6 @@ TEST(CountersShim, LatencySummaryFromHistogram) {
   EXPECT_NEAR(s.p50_us, 50.0, 50.0 * 0.08);
   EXPECT_NEAR(s.p99_us, 99.0, 99.0 * 0.08);
   EXPECT_DOUBLE_EQ(s.max_us, 100.0);
-}
-
-// ---------------------------------------------------------------- logging
-
-class LogCaptureTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    pnm::set_log_level(pnm::LogLevel::kDebug);
-    pnm::set_log_sink([this](std::string_view line) {
-      std::lock_guard<std::mutex> lock(mu_);
-      lines_.emplace_back(line);
-    });
-  }
-  void TearDown() override {
-    pnm::set_log_sink(nullptr);
-    pnm::set_log_format(pnm::LogFormat::kText);
-    pnm::set_log_level(pnm::LogLevel::kWarn);
-  }
-  std::vector<std::string> lines() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return lines_;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> lines_;
-};
-
-TEST_F(LogCaptureTest, TextFormat) {
-  PNM_WARN << "plain message " << 42;
-  auto got = lines();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "[WARN ] plain message 42");
-}
-
-TEST_F(LogCaptureTest, JsonFormatEscapes) {
-  pnm::set_log_format(pnm::LogFormat::kJson);
-  PNM_ERROR << "quote\" back\\slash\nnewline\ttab";
-  auto got = lines();
-  ASSERT_EQ(got.size(), 1u);
-  const std::string& line = got[0];
-  EXPECT_EQ(line.front(), '{');
-  EXPECT_EQ(line.back(), '}');
-  EXPECT_NE(line.find("\"level\":\"error\""), std::string::npos);
-  EXPECT_NE(line.find("\"ts_us\":"), std::string::npos);
-  EXPECT_NE(line.find("\"tid\":"), std::string::npos);
-  EXPECT_NE(line.find("quote\\\" back\\\\slash\\nnewline\\ttab"),
-            std::string::npos);
-  // No raw control characters may survive into the line.
-  for (char ch : line) EXPECT_GE(static_cast<unsigned char>(ch), 0x20u);
-}
-
-TEST_F(LogCaptureTest, ConcurrentLoggingKeepsLinesIntact) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 200;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t] {
-      for (int i = 0; i < kPerThread; ++i)
-        PNM_INFO << "thread " << t << " line " << i << " tail";
-    });
-  }
-  for (auto& w : workers) w.join();
-  auto got = lines();
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  for (const auto& line : got) {
-    EXPECT_EQ(line.substr(0, 7), "[INFO ]");
-    EXPECT_EQ(line.substr(line.size() - 4), "tail");
-  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "attack/attacks.h"
 #include "core/protocol.h"
@@ -87,14 +88,28 @@ TEST_F(PairwiseFixture, PairSuspectsPinSourceExactly) {
 }
 
 TEST_F(PairwiseFixture, TamperedTagInvalidatesTheMark) {
-  net::Packet p = forwarded_packet(3);
-  // Flip a bit in the most upstream mark's claim tag: the nested MAC covers
-  // the whole id_field, so the mark (and nothing downstream of it, which was
-  // added later) must fail.
-  p.marks[0].id_field.back() ^= 1;
-  auto vr = scheme_->verify(p, keys_);
-  EXPECT_EQ(vr.chain.size(), 0u);  // verification is backward: all covered
-  EXPECT_TRUE(vr.truncated_by_invalid);
+  // Flip a bit in one mark's claim tag in transit, at every position, before
+  // the nodes downstream add theirs: the nested MAC covers the whole
+  // id_field, so that mark fails and the backward pass stops there. Only the
+  // marks added after it verify.
+  for (std::size_t pos = 0; pos < 8; ++pos) {
+    SCOPED_TRACE("tampered mark " + std::to_string(pos));
+    net::Packet p;
+    p.report = net::Report{3, 1, 1, 3}.encode();
+    for (NodeId v = 8; v >= 1; --v) {
+      p.arrived_from = static_cast<NodeId>(v + 1);
+      scheme_->mark(p, v, keys_.key_unchecked(v), rng_);
+      if (p.marks.size() == pos + 1) p.marks.back().id_field.back() ^= 1;
+    }
+    auto vr = scheme_->verify(p, keys_);
+    EXPECT_TRUE(vr.truncated_by_invalid);
+    EXPECT_EQ(vr.invalid_marks, pos + 1);
+    ASSERT_EQ(vr.chain.size(), 8 - pos - 1);
+    for (std::size_t i = 0; i < vr.chain.size(); ++i) {
+      EXPECT_EQ(vr.chain[i].mark_index, pos + 1 + i);
+      EXPECT_EQ(vr.chain[i].node, static_cast<NodeId>(8 - (pos + 1 + i)));
+    }
+  }
 }
 
 TEST_F(PairwiseFixture, MoleCanOnlyClaimItsOwnNeighbors) {

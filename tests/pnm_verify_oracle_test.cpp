@@ -7,9 +7,11 @@
 // first-match backward MAC pass. The two must agree on the verified chain,
 // invalid_marks and truncated_by_invalid, and meter the same kMacChecks;
 // kPrfEvals may only shrink, and must be the full sweep whenever a mark is
-// invalid.
+// invalid. The §7 scoped verifier (sink::scoped_verify_pnm) resolves marks by
+// a different search but must reach the oracle's verdict too.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "crypto/keys.h"
 #include "marking/pnm_scheme.h"
 #include "net/report.h"
+#include "net/topology.h"
+#include "sink/scoped_verify.h"
 #include "util/counters.h"
 #include "pnm_verify_oracle.h"
 #include "util/rng.h"
@@ -26,15 +30,32 @@ namespace {
 
 class OracleFixture : public ::testing::Test {
  protected:
-  /// Honest marks from `path` (most upstream first), each appended by the
-  /// scheme's own marking code.
+  /// Marks from `path` (most upstream first), each appended by the scheme's
+  /// own marking code. The MAC of mark `forge_at`, if any, is altered before
+  /// the next node marks, as a mole in transit would.
   static net::Packet marked(const PnmScheme& scheme, const crypto::KeyStore& keys,
-                            std::uint32_t seq, const std::vector<NodeId>& path) {
+                            std::uint32_t seq, const std::vector<NodeId>& path,
+                            std::size_t forge_at = SIZE_MAX) {
     Rng rng(seq);
     net::Packet p;
     p.report = net::Report{seq, 3, 4, 5000 + seq}.encode();
-    for (NodeId v : path) p.marks.push_back(scheme.make_mark(p, v, keys.key_unchecked(v), rng));
+    for (NodeId v : path) {
+      p.marks.push_back(scheme.make_mark(p, v, keys.key_unchecked(v), rng));
+      if (p.marks.size() == forge_at + 1) p.marks.back().mac[0] ^= 0x5a;
+    }
     return p;
+  }
+
+  /// The verdict fields of `got` equal the oracle's.
+  static void expect_same_verdict(const VerifyResult& got, const VerifyResult& want) {
+    EXPECT_EQ(got.total_marks, want.total_marks);
+    EXPECT_EQ(got.invalid_marks, want.invalid_marks);
+    EXPECT_EQ(got.truncated_by_invalid, want.truncated_by_invalid);
+    ASSERT_EQ(got.chain.size(), want.chain.size());
+    for (std::size_t i = 0; i < got.chain.size(); ++i) {
+      EXPECT_EQ(got.chain[i].node, want.chain[i].node) << "chain " << i;
+      EXPECT_EQ(got.chain[i].mark_index, want.chain[i].mark_index) << "chain " << i;
+    }
   }
 
   /// Verify `p` both ways and compare everything the contract pins.
@@ -46,14 +67,7 @@ class OracleFixture : public ::testing::Test {
     VerifyResult got = scheme.verify(p, keys, counters);
     OracleResult want = oracle_verify(p, keys, anon_len);
 
-    EXPECT_EQ(got.total_marks, want.result.total_marks);
-    EXPECT_EQ(got.invalid_marks, want.result.invalid_marks);
-    EXPECT_EQ(got.truncated_by_invalid, want.result.truncated_by_invalid);
-    ASSERT_EQ(got.chain.size(), want.result.chain.size());
-    for (std::size_t i = 0; i < got.chain.size(); ++i) {
-      EXPECT_EQ(got.chain[i].node, want.result.chain[i].node) << "chain " << i;
-      EXPECT_EQ(got.chain[i].mark_index, want.result.chain[i].mark_index) << "chain " << i;
-    }
+    expect_same_verdict(got, want.result);
     EXPECT_EQ(counters.get(util::Metric::kMacChecks), want.mac_checks);
     EXPECT_EQ(counters.get(util::Metric::kPacketsVerified), 1u);
 
@@ -113,22 +127,29 @@ TEST_F(OracleFixture, CollidingCandidatesResolveToLowestVerifyingId) {
   }
 }
 
-// A forged MAC at every position of the mark list: the backward pass must
-// truncate at exactly that mark, after a full sweep.
+// A MAC forged in transit at every position of the mark list, with honest
+// marks added after it: the backward pass must truncate at exactly that
+// mark, after a full sweep. The scoped verifier,
+// searching a 101-node chain from the sink, must truncate at the same mark.
 TEST_F(OracleFixture, ForgedMacAtEveryPosition) {
+  const net::Topology topo = net::Topology::chain(99);  // 101 nodes
   for (std::size_t anon_len : {std::size_t{1}, std::size_t{2}, std::size_t{9}}) {
     SchemeConfig cfg;
     cfg.anon_len = anon_len;
     PnmScheme scheme(cfg);
     crypto::KeyStore keys(Bytes{0x77}, 101);
+    ASSERT_EQ(topo.node_count(), keys.size());
     const std::vector<NodeId> path{5, 99, 40, 100, 1, 63};
-    const net::Packet honest = marked(scheme, keys, 7, path);
-    for (std::size_t pos = 0; pos < path.size(); ++pos) {
-      net::Packet forged = honest;
-      forged.marks[pos].mac[0] ^= 0x5a;
-      expect_matches_oracle(scheme, keys, forged,
-                            "anon_len=" + std::to_string(anon_len) +
-                                " forged=" + std::to_string(pos));
+    for (std::size_t pos = 0; pos <= path.size(); ++pos) {
+      const net::Packet p = marked(scheme, keys, 7, path, pos);  // pos == size: none forged
+      const std::string what =
+          "anon_len=" + std::to_string(anon_len) + " forged=" + std::to_string(pos);
+      expect_matches_oracle(scheme, keys, p, what);
+      SCOPED_TRACE(what + " scoped");
+      util::Counters counters;
+      expect_same_verdict(
+          sink::scoped_verify_pnm(p, keys, topo, cfg, nullptr, nullptr, &counters),
+          oracle_verify(p, keys, anon_len).result);
     }
   }
 }

@@ -6,12 +6,14 @@
 
 #include "crypto/anon_id.h"
 #include "crypto/keys.h"
+#include "marking/pnm_scheme.h"
 #include "marking/scheme.h"
 #include "sink/anon_lookup.h"
 #include "sink/catcher.h"
 #include "sink/order_matrix.h"
 #include "sink/route_reconstruct.h"
 #include "sink/route_render.h"
+#include "sink/scoped_verify.h"
 #include "sink/traceback.h"
 #include "sink/verifier.h"
 
@@ -291,13 +293,28 @@ TEST_F(AnonLookupFixture, OneByteIdsCollide) {
 TEST_F(AnonLookupFixture, ScopedSearchFindsNeighborOnly) {
   net::Topology topo = net::Topology::chain(10);  // 12 nodes
   crypto::KeyStore keys(str_bytes("anon-master"), topo.node_count());
-  // Node 5's anon id must be found when scoped to node 4's neighborhood...
-  Bytes anon5 = crypto::anon_id(keys.key_unchecked(5), report_, 5, 2);
-  auto hits = scoped_candidates(keys, topo, 4, report_, anon5, 2);
-  EXPECT_NE(std::find(hits.begin(), hits.end(), NodeId{5}), hits.end());
-  // ...but not when scoped far away.
-  auto far = scoped_candidates(keys, topo, 9, report_, anon5, 2);
-  EXPECT_EQ(std::find(far.begin(), far.end(), NodeId{5}), far.end());
+  marking::SchemeConfig cfg;
+  marking::PnmScheme scheme(cfg);
+  Rng rng(5);
+  net::Packet p;
+  p.report = report_;
+  p.marks.push_back(scheme.make_mark(p, 5, keys.key_unchecked(5), rng));
+  util::Counters counters;
+  // Node 5's mark resolves inside node 4's closed neighborhood...
+  p.delivered_by = 4;
+  ScopedVerifyStats near;
+  marking::VerifyResult r = scoped_verify_pnm(p, keys, topo, cfg, &near, nullptr, &counters);
+  ASSERT_EQ(r.chain.size(), 1u);
+  EXPECT_EQ(r.chain[0].node, NodeId{5});
+  EXPECT_EQ(near.ring_expansions, 0u);
+  EXPECT_LE(near.prf_evaluations, topo.closed_neighborhood(4).size());
+  // ...but from far away only once the search widens past one hop.
+  p.delivered_by = 9;
+  ScopedVerifyStats far;
+  r = scoped_verify_pnm(p, keys, topo, cfg, &far, nullptr, &counters);
+  ASSERT_EQ(r.chain.size(), 1u);
+  EXPECT_EQ(r.chain[0].node, NodeId{5});
+  EXPECT_GT(far.ring_expansions, 0u);
 }
 
 // -------------------------------------------------------- traceback engine

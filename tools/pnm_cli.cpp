@@ -802,8 +802,12 @@ const std::vector<Command>& commands() {
   return table;
 }
 
+/// The most threads, shards, jobs or connections one flag may ask for.
+constexpr std::size_t kMaxWorkers = 256;
+
 /// `--flag value` pairs after the command word. A flag `cmd` does not read,
-/// a flag with no value, or a bare word exits 2.
+/// a flag with no value, a bare word, or a worker count above kMaxWorkers
+/// exits 2, before the command starts any thread.
 Args parse(const Command& cmd, int argc, char** argv) {
   auto known = [&](const std::string& flag) {
     return std::count(cmd.flags.begin(), cmd.flags.end(), flag) != 0 ||
@@ -818,6 +822,11 @@ Args parse(const Command& cmd, int argc, char** argv) {
     if (!known(flag)) usage_error("%s: unknown flag --%s", cmd.name, flag.c_str());
     if (i + 1 == argc) usage_error("%s: --%s needs a value", cmd.name, flag.c_str());
     args.kv[flag] = argv[++i];
+  }
+  for (const char* flag : {"threads", "shards", "jobs", "connections"}) {
+    if (args.num(flag, 0) > kMaxWorkers)
+      usage_error("--%s expects at most %zu, got '%s'", flag, kMaxWorkers,
+                  args.kv.at(flag).c_str());
   }
   return args;
 }
